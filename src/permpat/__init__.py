@@ -13,7 +13,6 @@ from .classes import (
     WilfClassification,
     WilfVerdict,
     enumerate_avoiders,
-    enumerate_by_filter,
     enumerate_class,
     growth_estimates,
     parse_basis,

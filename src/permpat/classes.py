@@ -6,9 +6,17 @@ inserting the new maximum value n+1 into every gap of every length-n
 member, keeping the results that avoid the basis.  This is exhaustive
 because classes are down-sets: deleting the maximum from any member of
 Av_{n+1}(B) lands in Av_n(B).  Since each parent already avoids B, a
-candidate can only fail through an occurrence using the new point, so the
-avoidance re-check is anchored at the inserted position (the brute-force
-filter oracle in the test suite verifies this restriction).
+candidate can only fail through an occurrence using the new point, and the
+new point can only play a basis pattern's maximum.  So each (parent, gap)
+is checked by perm's anchored kernel, which searches the pattern minus its
+maximum in the parent split at the gap, and a candidate is built only when
+it survives (the brute-force filter oracle in the test suite verifies this
+restriction).
+
+The frontier holds each member as `bytes`, one byte per value, which
+slices, concatenates and sorts like a tuple of ints in about a third of
+the memory.  Past length 255 the values no longer fit, and the frontier
+becomes tuples.
 """
 
 from __future__ import annotations
@@ -18,10 +26,15 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, permutations as _all_perms
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 from .errors import InvalidBasisError, IterationCapError, PermPatError
-from .perm import Permutation, Symmetry, _contains_values, contains
+from .perm import Permutation, Symmetry, _kernel, contains
+
+# A frontier member is a one-line word: bytes while every value fits in a
+# byte, a tuple of ints after that.  Both slice, concatenate and sort alike.
+Word = Union[bytes, tuple[int, ...]]
+_BYTE_LIMIT = 255
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "PERMPAT_BUDGET"
@@ -29,7 +42,15 @@ BUDGET_ENV_VAR = "PERMPAT_BUDGET"
 
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise PermPatError(f"${BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -85,26 +106,29 @@ class ClassEnumeration:
 
 
 def _expand_chunk(
-    chunk: Sequence[tuple[int, ...]],
+    chunk: Sequence[Word],
     pats: tuple[tuple[int, ...], ...],
+    point: Word,
     full_check: bool,
     limit: int | None = None,
-) -> list[tuple[int, ...]] | None:
-    """Insert the new maximum into every gap of every chunk member, keeping
-    avoiders.  Returns None if more than `limit` avoiders would be kept."""
-    out: list[tuple[int, ...]] = []
+) -> list[Word] | None:
+    """Insert the new maximum `point` into every gap of every chunk member,
+    keeping avoiders.  Returns None if more than `limit` avoiders would be
+    kept."""
+    out: list[Word] = []
+    add = out.append
+    if full_check:  # the unanchored reference: search each whole candidate
+        hits = [lambda s, g, first=_kernel(p, "first"): first(s[:g] + point + s[g:]) is not None
+                for p in pats]
+    else:
+        hits = [_kernel(p, "anchored") for p in pats]
     for sigma in chunk:
-        m = len(sigma)
-        new = m + 1
-        for g in range(m + 1):
-            cand = sigma[:g] + (new,) + sigma[g:]
-            if full_check:
-                if any(_contains_values(cand, p) for p in pats):
-                    continue
+        for g in range(len(sigma) + 1):
+            for hit in hits:
+                if hit(sigma, g):
+                    break
             else:
-                if any(_contains_values(cand, p, require=g) for p in pats):
-                    continue
-            out.append(cand)
+                add(sigma[:g] + point + sigma[g:])
         if limit is not None and len(out) > limit:
             return None
     return out
@@ -123,23 +147,28 @@ def enumerate_class(
     `budget` caps the total number of stored permutations; when it would be
     exceeded the result is truncated at that length, never silently wrong.
     `threads` partitions the frontier; results are canonically sorted, so
-    output is independent of the worker count.
+    output is independent of the worker count.  `full_check` re-checks each
+    candidate for every occurrence instead of anchoring at the new maximum;
+    it exists to test the anchored check.
     """
     if n_max < 0:
         raise PermPatError("n_max must be non-negative")
     if budget is None:
         budget = _default_budget()
     pats = tuple(p.values for p in basis.patterns)
-    frontier: list[tuple[int, ...]] = [] if any(len(p) == 0 for p in pats) else [()]
+    frontier: list[Word] = [] if any(len(p) == 0 for p in pats) else [b""]
     counts = [len(frontier)]
-    levels: list[list[tuple[int, ...]]] = [list(frontier)]
+    levels: list[list[Word]] = [list(frontier)]
     stored = len(frontier)
     truncated_at: int | None = None
     for n in range(1, n_max + 1):
+        if n == _BYTE_LIMIT + 1:  # values no longer fit in a byte
+            frontier = [tuple(sigma) for sigma in frontier]
+        point: Word = bytes((n,)) if n <= _BYTE_LIMIT else (n,)
         remaining = budget - stored
         if len(frontier) * n > remaining:
             # the worst case would blow the budget: expand with an early abort
-            next_level = _expand_chunk(frontier, pats, full_check, limit=remaining)
+            next_level = _expand_chunk(frontier, pats, point, full_check, limit=remaining)
             if next_level is None:
                 truncated_at = n
                 break
@@ -148,11 +177,11 @@ def enumerate_class(
             chunks = [frontier[i : i + size] for i in range(0, len(frontier), size)]
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = list(
-                    pool.map(lambda c: _expand_chunk(c, pats, full_check), chunks)
+                    pool.map(lambda c: _expand_chunk(c, pats, point, full_check), chunks)
                 )
             next_level = [cand for part in parts for cand in part]
         else:
-            next_level = _expand_chunk(frontier, pats, full_check)
+            next_level = _expand_chunk(frontier, pats, point, full_check)
         next_level.sort()
         if stored + len(next_level) > budget:
             truncated_at = n
@@ -171,16 +200,6 @@ def enumerate_class(
     if with_witnesses:
         witnesses = [[Permutation(w) for w in level] for level in levels]
     return ClassEnumeration(basis, counts, witnesses, truncated_at)
-
-
-def enumerate_by_filter(basis: Basis, n_max: int) -> ClassEnumeration:
-    """Brute-force oracle: filter all of S_n by avoidance.  Exponentially
-    slower than enumerate_class; retained for verification and for
-    non-classical avoidance predicates (see enumerate_avoiders)."""
-    pats = tuple(p.values for p in basis.patterns)
-    return enumerate_avoiders(
-        lambda sigma: not any(_contains_values(sigma.values, p) for p in pats), n_max
-    )
 
 
 def enumerate_avoiders(predicate, n_max: int) -> ClassEnumeration:

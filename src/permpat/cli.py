@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Callable
 
 from . import classes, gfun, patterns, perm, stats
@@ -323,6 +324,16 @@ def _cmd_plot(args) -> Result:
 # Parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permpat",
@@ -401,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_enum_flags(p: argparse.ArgumentParser, window: bool = False) -> None:
         p.add_argument("--n", type=int, required=True, help="maximum length")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--threads", type=_positive_int, default=1)
+        p.add_argument("--budget", type=_positive_int, default=None,
                        help=f"stored-permutation budget (default {classes.DEFAULT_BUDGET}, "
                        f"or ${classes.BUDGET_ENV_VAR})")
         if window:
@@ -443,9 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use.  Handlers look up library functions
+    when they run, so reusing it changes nothing a call observes."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, lines = args.handler(args)
     except PermPatError as exc:

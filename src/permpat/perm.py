@@ -6,15 +6,35 @@ by operations here (occurrences, intervals, extreme points) are 1-based, so
 they line up with the notation sigma(1)...sigma(n).  Values are accessed
 0-based via indexing, like any Python sequence.
 
-The containment search is a depth-first assignment of host positions to
-pattern positions with value-window pruning: every already-placed pattern
-entry narrows the open interval of host values the next entry may take.
+Containment has one search.  For each pattern it writes Python source with
+one nested `for` loop per pattern slot, in left-to-right order, each loop
+testing inline the open window of host values that the already-placed
+slots leave for its slot (the earlier slots holding the next smaller and
+next larger pattern values bound it).  The source is compiled with `exec`
+once per (pattern, mode) and kept in a `functools.lru_cache` of 1024
+entries.  The modes are:
+
+- "first": the lexicographically least occurrence (`contains`,
+  `find_occurrence`);
+- "all": every occurrence, built directly as 1-based tuples
+  (`occurrences`, and through it mesh and barred matching);
+- "anchored": for the class enumerator.  Inserting a new maximum into a
+  parent creates an occurrence only if the new point plays the pattern's
+  maximum, so the search looks for the pattern minus its maximum in the
+  parent, with the slots before the maximum left of the insertion gap and
+  the rest right of it.  No candidate is built to be searched.
+
+CPython compiles at most 20 nested loops, so longer patterns take an
+iterative search with an explicit stack (`_stack_search`), which works at
+any length and cannot hit the recursion limit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedPermutationError, PermPatError
 
@@ -129,108 +149,162 @@ def reduce_word(word: Sequence[int]) -> Permutation:
 # ---------------------------------------------------------------------------
 # Containment
 
+# CPython refuses to compile more statically nested blocks than this.
+_MAX_LOOPS = 20
 
-_REF_CACHE: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+def _bounds(pat: Sequence[int]) -> tuple[list[int], list[int]]:
+    """For each pattern slot t, the earlier slot holding the next smaller
+    (resp. larger) value, or -1 if no earlier value lies on that side.
+    Those two entries alone bound the host values slot t may take."""
+    below_ref: list[int] = []
+    above_ref: list[int] = []
+    seen: list[int] = []  # values of the earlier slots, sorted
+    slot = {v: t for t, v in enumerate(pat)}
+    for v in pat:
+        i = bisect_left(seen, v)
+        below_ref.append(slot[seen[i - 1]] if i > 0 else -1)
+        above_ref.append(slot[seen[i]] if i < len(seen) else -1)
+        seen.insert(i, v)
+    return below_ref, above_ref
 
 
-def _refs(pat: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For each pattern slot t, the earlier slot giving the tightest lower
-    (resp. upper) value bound, or -1 if unbounded on that side."""
-    cached = _REF_CACHE.get(pat)
-    if cached is not None:
-        return cached
+def _anchor_split(pat: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """pat without its maximum, and the number of slots left of it."""
+    q = pat.index(len(pat))
+    return pat[:q] + pat[q + 1 :], q
+
+
+def _offset(name: str, c: int) -> str:
+    return name if c == 0 else f"{name} + {c}" if c > 0 else f"{name} - {-c}"
+
+
+def _source(pat: tuple[int, ...], mode: str) -> str:
+    """Python source of one nested `for` loop per slot of pat, with the
+    value-window tests inlined.
+
+    "first" loops over 0-based positions and adds 1 to the one occurrence
+    it returns.  "all" pads the host with a leading 0, so its loop
+    variables are the 1-based positions themselves.  "anchored" reads a
+    parent and a gap g, and searches pat minus its maximum with the slots
+    before the maximum left of g and the rest right of it.
+    """
+    anchored = mode == "anchored"
+    base = 1 if mode == "all" else 0
+    q = 0
+    if anchored:
+        pat, q = _anchor_split(pat)
     k = len(pat)
-    lo_ref = [-1] * k
-    hi_ref = [-1] * k
+    below, above = _bounds(pat)
+    read_later = set(below) | set(above)
+    comma = "," if k == 1 else ""
+    if mode == "all":
+        lines = ["def kernel(host):", "    h = (0, *host)", "    m = len(host)",
+                 "    out = []", "    add = out.append"]
+        found, missing = f"add(({', '.join(f'p{t}' for t in range(k))}{comma}))", "return out"
+    elif mode == "first":
+        lines = ["def kernel(h):", "    m = len(h)"]
+        found = f"return ({', '.join(f'p{t} + 1' for t in range(k))}{comma})"
+        missing = "return None"
+    else:
+        lines = ["def kernel(h, g):", "    m = len(h)"]
+        short = [f"g < {q}"] * (q > 0) + [f"m - g < {k - q}"] * (k > q)
+        if short:
+            lines += [f"    if {' or '.join(short)}:", "        return False"]
+        found, missing = "return True", "return False"
+    # exclusive end of each slot: room is left for the slots after it
+    lines += [f"    e{t} = {_offset('g', t - q + 1) if t < q else _offset('m', t - k + 1 + base)}"
+              for t in range(k)]
+    indent = "    "
     for t in range(k):
-        for j in range(t):
-            if pat[j] < pat[t] and (lo_ref[t] < 0 or pat[j] > pat[lo_ref[t]]):
-                lo_ref[t] = j
-            if pat[j] > pat[t] and (hi_ref[t] < 0 or pat[j] < pat[hi_ref[t]]):
-                hi_ref[t] = j
-    result = (tuple(lo_ref), tuple(hi_ref))
-    _REF_CACHE[pat] = result
-    return result
+        if anchored and t == q:
+            start = "g"
+        elif t == 0:
+            start = str(base)
+        else:
+            start = f"p{t - 1} + 1"
+        lines.append(f"{indent}for p{t} in range({start}, e{t}):")
+        indent += "    "
+        value = f"h[p{t}]"
+        if t in read_later:
+            lines.append(f"{indent}v{t} = h[p{t}]")
+            value = f"v{t}"
+        test = value
+        if below[t] >= 0:
+            test = f"v{below[t]} < {test}"
+        if above[t] >= 0:
+            test = f"{test} < v{above[t]}"
+        if test != value:
+            lines.append(f"{indent}if {test}:")
+            indent += "    "
+    lines.append(indent + found)
+    lines.append("    " + missing)
+    return "\n".join(lines) + "\n"
 
 
-def _iter_occurrences(
-    host: tuple[int, ...],
-    pat: tuple[int, ...],
-    require: int | None = None,
+def _stack_search(
+    host: Sequence[int], pat: Sequence[int], left: int = 0, gap: int = 0
 ) -> Iterator[tuple[int, ...]]:
-    """Yield 0-based index tuples of occurrences of pat in host, in
-    lexicographic order.  If require is given, only occurrences using that
-    host index are produced."""
+    """Yield the 0-based position tuples of pat's occurrences in host, in
+    lexicographic order, by an iterative search with an explicit stack.
+    The first `left` slots lie left of position `gap` and the others at or
+    right of it.  Any pattern length works; the compiled kernels are the
+    fast path for patterns they can express."""
     k = len(pat)
     n = len(host)
     if k == 0:
-        if require is None:
-            yield ()
+        yield ()
         return
-    if k > n:
-        return
-    lo_ref, hi_ref = _refs(pat)
+    below, above = _bounds(pat)
+    ends = [gap - left + 1 + t if t < left else n - k + 1 + t for t in range(k)]
     pos = [0] * k
-    val = [0] * k
-
-    def rec(t: int, start: int, used: bool) -> Iterator[tuple[int, ...]]:
-        lr = lo_ref[t]
-        hr = hi_ref[t]
-        lo = val[lr] if lr >= 0 else 0
-        hi = val[hr] if hr >= 0 else n + 1
-        for p in range(start, n - (k - 1 - t)):
-            if not used and p > require:  # positions only grow; anchor missed
+    t = 0
+    p = gap if left == 0 else 0
+    while True:
+        lo = host[pos[below[t]]] if below[t] >= 0 else 0
+        hi = host[pos[above[t]]] if above[t] >= 0 else n + 1
+        end = ends[t]
+        while p < end and not lo < host[p] < hi:
+            p += 1
+        if p < end:
+            pos[t] = p
+            if t == k - 1:
+                yield tuple(pos)
+                p += 1
+            else:
+                t += 1
+                p = gap if t == left else p + 1
+        else:
+            t -= 1
+            if t < 0:
                 return
-            v = host[p]
-            if lo < v < hi:
-                pos[t] = p
-                if t == k - 1:
-                    if used or p == require:
-                        yield tuple(pos)
-                else:
-                    val[t] = v
-                    yield from rec(t + 1, p + 1, used or p == require)
-
-    yield from rec(0, 0, require is None)
+            p = pos[t] + 1
 
 
-def _contains_values(
-    host: tuple[int, ...],
-    pat: tuple[int, ...],
-    require: int | None = None,
-) -> bool:
-    """Boolean containment over raw value tuples; the hot path of the class
-    enumerator, so it avoids generator overhead."""
-    k = len(pat)
-    n = len(host)
-    if k == 0:
-        return require is None
-    if k > n:
-        return False
-    lo_ref, hi_ref = _refs(pat)
-    val = [0] * k
+@lru_cache(maxsize=1024)
+def _kernel(pat: tuple[int, ...], mode: str) -> Callable:
+    """The containment search for pat, built once per (pattern, mode).
 
-    def rec(t: int, start: int, used: bool) -> bool:
-        lr = lo_ref[t]
-        hr = hi_ref[t]
-        lo = val[lr] if lr >= 0 else 0
-        hi = val[hr] if hr >= 0 else n + 1
-        last = t == k - 1
-        for p in range(start, n - (k - 1 - t)):
-            if not used and p > require:
-                return False
-            v = host[p]
-            if lo < v < hi:
-                if last:
-                    if used or p == require:
-                        return True
-                else:
-                    val[t] = v
-                    if rec(t + 1, p + 1, used or p == require):
-                        return True
-        return False
+    - "first": host -> the lexicographically least occurrence (1-based) or None.
+    - "all": host -> every occurrence (1-based), in lexicographic order.
+    - "anchored": (parent, gap) -> whether inserting a new maximum into the
+      parent at that gap (0-based) creates an occurrence of pat.  The new
+      point can only play pat's maximum, so only pat minus its maximum is
+      searched in the parent, split at the gap.
 
-    return rec(0, 0, require is None)
+    Patterns needing more than _MAX_LOOPS nested loops use _stack_search.
+    """
+    loops = len(pat) - 1 if mode == "anchored" else len(pat)
+    if loops <= _MAX_LOOPS:
+        namespace: dict = {}
+        exec(compile(_source(pat, mode), f"<kernel {mode} {pat}>", "exec"), namespace)
+        return namespace["kernel"]
+    if mode == "anchored":
+        rest, q = _anchor_split(pat)
+        return lambda h, g: next(_stack_search(h, rest, q, g), None) is not None
+    if mode == "all":
+        return lambda h: [tuple(p + 1 for p in occ) for occ in _stack_search(h, pat)]
+    return lambda h: next((tuple(p + 1 for p in occ) for occ in _stack_search(h, pat)), None)
 
 
 def contains(host: Permutation, pattern: Permutation) -> bool:
@@ -241,20 +315,18 @@ def contains(host: Permutation, pattern: Permutation) -> bool:
     >>> contains(parse("314592687"), parse("3241"))
     False
     """
-    return _contains_values(host.values, pattern.values)
+    return _kernel(pattern.values, "first")(host.values) is not None
 
 
 def find_occurrence(host: Permutation, pattern: Permutation) -> tuple[int, ...] | None:
     """The lexicographically least occurrence (1-based index tuple), or
     None when the pattern is avoided."""
-    for occ in _iter_occurrences(host.values, pattern.values):
-        return tuple(i + 1 for i in occ)
-    return None
+    return _kernel(pattern.values, "first")(host.values)
 
 
 def occurrences(host: Permutation, pattern: Permutation) -> list[tuple[int, ...]]:
     """All occurrences as 1-based index tuples, sorted lexicographically."""
-    return [tuple(i + 1 for i in occ) for occ in _iter_occurrences(host.values, pattern.values)]
+    return _kernel(pattern.values, "all")(host.values)
 
 
 # ---------------------------------------------------------------------------

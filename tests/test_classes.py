@@ -72,6 +72,12 @@ class TestEnumerate:
         assert enum.witnesses is not None
         assert enum.witnesses[4] == [Permutation.identity(4)]
 
+    def test_frontier_past_byte_values(self):
+        # frontier members are bytes up to length 255 and tuples after it
+        enum = enumerate_class(parse_basis("21"), 300, with_witnesses=True)
+        assert enum.counts == [1] * 301
+        assert enum.witnesses[-1] == [Permutation.identity(300)]
+
     def test_budget_truncation_marker(self):
         enum = enumerate_class(B(), 10, budget=100)
         assert enum.truncated_at is not None

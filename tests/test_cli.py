@@ -152,6 +152,21 @@ class TestEnumerate:
         _, out, _ = run(capsys, "enumerate", "", "--n", "8", "--budget", "50")
         assert "truncated" in out
 
+    def test_bad_budget_env_var_is_1(self, capsys, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
+        code, out, err = run(capsys, "enumerate", "12", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--threads", "-3"),
+                                             ("--budget", "-1")])
+    def test_nonpositive_flag_is_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["enumerate", "12", "--n", "3", flag, value])
+        assert exc_info.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
 
 class TestGrowthWilfClassify:
     def test_growth(self, capsys):
@@ -250,6 +265,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["contains", "12", "1", "--frobnicate"])
         assert exc_info.value.code == 2
+
+    def test_no_option_leaks_between_calls(self, capsys):
+        doc = run_json(capsys, "enumerate", "123", "--n", "4", "--witnesses")
+        assert doc["counts"] == [1, 1, 2, 5, 14]
+        code, out, _ = run(capsys, "enumerate", "123", "--n", "3")
+        assert (code, out) == (0, "0 1\n1 1\n2 2\n3 5\n")
+        code, out, _ = run(capsys, "contains", "314592687", "1423")
+        assert (code, out) == (0, "true (1,5,7,8)\n")
+        assert run_json(capsys, "contains", "314592687", "3241")["contains"] is False
+        code, out, _ = run(capsys, "enumerate", "", "--n", "8", "--budget", "50")
+        assert "truncated" in out
+        code, out, _ = run(capsys, "enumerate", "", "--n", "5")
+        assert (code, out.splitlines()[-1]) == (0, "5 120")
+        assert "truncated" not in out and "witness" not in out
 
     def test_help_per_subcommand(self, capsys):
         for name in ("contains", "enumerate", "gf", "plot", "match"):
