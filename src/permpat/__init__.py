@@ -56,7 +56,6 @@ from .perm import (
     Interval,
     Permutation,
     Symmetry,
-    apply_symmetry,
     contains,
     direct_sum,
     extremal,

@@ -13,6 +13,13 @@ maximum in the parent split at the gap, and a candidate is built only when
 it survives (the brute-force filter oracle in the test suite verifies this
 restriction).
 
+Each length is one single-threaded pass over the frontier, bounded by
+the budget: the pass stops as soon as the members kept would exceed what
+is left of it, and the result is marked truncated at that length.  Counts
+do not depend on the order of the frontier, so levels are left in the
+order they are generated; they are sorted only when witness lists are
+asked for, once per length, as the witnesses are built.
+
 The frontier holds each member as `bytes`, one byte per value, which
 slices, concatenates and sorts like a tuple of ints in about a third of
 the memory.  Past length 255 the values no longer fit, and the frontier
@@ -23,10 +30,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations as _all_perms
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import InvalidBasisError, IterationCapError, PermPatError
 from .perm import Permutation, Symmetry, _kernel, contains
@@ -38,6 +44,10 @@ _BYTE_LIMIT = 255
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "PERMPAT_BUDGET"
+
+# wilf_classify enumerates all k! classes Av(pi), pi in S_k; past k = 4
+# that is too many enumerations to run by accident.
+WILF_MAX_K = 4
 
 
 def _default_budget() -> int:
@@ -105,31 +115,26 @@ class ClassEnumeration:
         return len(self.counts) - 1
 
 
-def _expand_chunk(
-    chunk: Sequence[Word],
+def _expand_level(
+    frontier: list[Word],
     pats: tuple[tuple[int, ...], ...],
     point: Word,
-    full_check: bool,
-    limit: int | None = None,
+    limit: int,
 ) -> list[Word] | None:
-    """Insert the new maximum `point` into every gap of every chunk member,
-    keeping avoiders.  Returns None if more than `limit` avoiders would be
-    kept."""
+    """Insert the new maximum `point` into every gap of every frontier
+    member, keeping avoiders.  Returns None as soon as more than `limit`
+    avoiders have been kept."""
     out: list[Word] = []
     add = out.append
-    if full_check:  # the unanchored reference: search each whole candidate
-        hits = [lambda s, g, first=_kernel(p, "first"): first(s[:g] + point + s[g:]) is not None
-                for p in pats]
-    else:
-        hits = [_kernel(p, "anchored") for p in pats]
-    for sigma in chunk:
+    hits = [_kernel(p, "anchored") for p in pats]
+    for sigma in frontier:
         for g in range(len(sigma) + 1):
             for hit in hits:
                 if hit(sigma, g):
                     break
             else:
                 add(sigma[:g] + point + sigma[g:])
-        if limit is not None and len(out) > limit:
+        if len(out) > limit:
             return None
     return out
 
@@ -139,17 +144,12 @@ def enumerate_class(
     n_max: int,
     with_witnesses: bool = False,
     budget: int | None = None,
-    threads: int = 1,
-    full_check: bool = False,
 ) -> ClassEnumeration:
     """Count (and optionally list) Av_n(B) for n = 0..n_max.
 
     `budget` caps the total number of stored permutations; when it would be
     exceeded the result is truncated at that length, never silently wrong.
-    `threads` partitions the frontier; results are canonically sorted, so
-    output is independent of the worker count.  `full_check` re-checks each
-    candidate for every occurrence instead of anchoring at the new maximum;
-    it exists to test the anchored check.
+    Witness lists are sorted lexicographically within each length.
     """
     if n_max < 0:
         raise PermPatError("n_max must be non-negative")
@@ -158,47 +158,30 @@ def enumerate_class(
     pats = tuple(p.values for p in basis.patterns)
     frontier: list[Word] = [] if any(len(p) == 0 for p in pats) else [b""]
     counts = [len(frontier)]
-    levels: list[list[Word]] = [list(frontier)]
+    levels: list[list[Word]] | None = [frontier] if with_witnesses else None
     stored = len(frontier)
     truncated_at: int | None = None
     for n in range(1, n_max + 1):
         if n == _BYTE_LIMIT + 1:  # values no longer fit in a byte
             frontier = [tuple(sigma) for sigma in frontier]
         point: Word = bytes((n,)) if n <= _BYTE_LIMIT else (n,)
-        remaining = budget - stored
-        if len(frontier) * n > remaining:
-            # the worst case would blow the budget: expand with an early abort
-            next_level = _expand_chunk(frontier, pats, point, full_check, limit=remaining)
-            if next_level is None:
-                truncated_at = n
-                break
-        elif threads > 1 and len(frontier) >= threads:
-            size = math.ceil(len(frontier) / threads)
-            chunks = [frontier[i : i + size] for i in range(0, len(frontier), size)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(
-                    pool.map(lambda c: _expand_chunk(c, pats, point, full_check), chunks)
-                )
-            next_level = [cand for part in parts for cand in part]
-        else:
-            next_level = _expand_chunk(frontier, pats, point, full_check)
-        next_level.sort()
-        if stored + len(next_level) > budget:
+        next_level = _expand_level(frontier, pats, point, limit=budget - stored)
+        if next_level is None:
             truncated_at = n
             break
         stored += len(next_level)
         counts.append(len(next_level))
-        if with_witnesses:
+        if levels is not None:
             levels.append(next_level)
         frontier = next_level
         if not frontier:
             counts.extend([0] * (n_max - n))
-            if with_witnesses:
-                levels.extend([[] for _ in range(n_max - n)])
+            if levels is not None:
+                levels.extend([] for _ in range(n_max - n))
             break
     witnesses = None
-    if with_witnesses:
-        witnesses = [[Permutation(w) for w in level] for level in levels]
+    if levels is not None:
+        witnesses = [[Permutation(w) for w in sorted(level)] for level in levels]
     return ClassEnumeration(basis, counts, witnesses, truncated_at)
 
 
@@ -316,14 +299,12 @@ class WilfClassification:
     symmetry_refines: bool
 
 
-def wilf_classify(
-    k: int, n_max: int, max_k: int = 4, budget: int | None = None
-) -> WilfClassification:
+def wilf_classify(k: int, n_max: int, budget: int | None = None) -> WilfClassification:
     if k < 1:
         raise PermPatError("pattern length must be >= 1")
-    if k > max_k:
+    if k > WILF_MAX_K:
         raise IterationCapError(
-            f"wilf_classify is guarded at pattern length {max_k}; got {k}"
+            f"wilf_classify is guarded at pattern length {WILF_MAX_K}; got {k}"
         )
     pats = [Permutation(word) for word in _all_perms(range(1, k + 1))]
     vectors: dict[Permutation, tuple[int, ...]] = {}

@@ -43,10 +43,7 @@ Result = tuple[dict, list[str]]
 
 
 def _cmd_reduce(args) -> Result:
-    word = [int(tok) for part in args.word for tok in part.replace(",", " ").split()]
-    if len(args.word) == 1 and len(word) == 1 and args.word[0].isdigit() and len(args.word[0]) > 1:
-        word = [int(c) for c in args.word[0]]
-    result = perm.reduce_word(word)
+    result = perm.reduce_word(perm._tokenize(" ".join(args.word)))
     return {"permutation": list(result.values)}, [str(result)]
 
 
@@ -202,8 +199,16 @@ def _enumerate_from_args(args, with_witnesses: bool = False):
         args.n,
         with_witnesses=with_witnesses,
         budget=args.budget,
-        threads=args.threads,
     )
+
+
+def _mark_truncation(enum, payload: dict, lines: list[str]) -> Result:
+    """Record where the budget cut the enumeration, if it did: the JSON
+    `truncated_at` field (null when complete) and one trailing text line."""
+    payload["truncated_at"] = enum.truncated_at
+    if enum.truncated_at is not None:
+        lines.append(f"truncated: budget exhausted at length {enum.truncated_at}")
+    return payload, lines
 
 
 def _cmd_enumerate(args) -> Result:
@@ -211,7 +216,6 @@ def _cmd_enumerate(args) -> Result:
     payload = {
         "basis": [list(p.values) for p in basis.patterns],
         "counts": enum.counts,
-        "truncated_at": enum.truncated_at,
     }
     lines = [f"{n} {c}" for n, c in enumerate(enum.counts)]
     if enum.witnesses is not None:
@@ -221,9 +225,7 @@ def _cmd_enumerate(args) -> Result:
         for n, level in enumerate(enum.witnesses):
             for w in level:
                 lines.append(f"witness {n}: {w}")
-    if enum.truncated_at is not None:
-        lines.append(f"truncated: budget exhausted at length {enum.truncated_at}")
-    return payload, lines
+    return _mark_truncation(enum, payload, lines)
 
 
 def _cmd_growth(args) -> Result:
@@ -247,7 +249,7 @@ def _cmd_growth(args) -> Result:
         lines.append("diverging (class of all permutations)")
     if est.finite_class:
         lines.append("finite class")
-    return payload, lines
+    return _mark_truncation(enum, payload, lines)
 
 
 def _cmd_wilf(args) -> Result:
@@ -293,16 +295,15 @@ def _cmd_gf(args) -> Result:
     _, enum = _enumerate_from_args(args)
     series = gfun.series_from_enumeration(enum)
     if args.mode == "series":
-        return {"series": series}, [" ".join(map(str, series))]
-    if args.mode == "ratfit":
-        fit = gfun.fit_rational(series, args.deg_num, args.deg_den)
-        if fit is None:
-            return {"fit": None, "series": series}, ["no-fit"]
-        return {"fit": fit.to_json(), "series": series}, [str(fit)]
-    fit = gfun.fit_algebraic(series, args.deg_z, args.deg_y)
-    if fit is None:
-        return {"fit": None, "series": series}, ["no-fit"]
-    return {"fit": fit.to_json(), "series": series}, [str(fit)]
+        payload, lines = {"series": series}, [" ".join(map(str, series))]
+    else:
+        if args.mode == "ratfit":
+            fit = gfun.fit_rational(series, args.deg_num, args.deg_den)
+        else:
+            fit = gfun.fit_algebraic(series, args.deg_z, args.deg_y)
+        payload = {"fit": None if fit is None else fit.to_json(), "series": series}
+        lines = ["no-fit" if fit is None else str(fit)]
+    return _mark_truncation(enum, payload, lines)
 
 
 def _cmd_plot(args) -> Result:
@@ -412,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_enum_flags(p: argparse.ArgumentParser, window: bool = False) -> None:
         p.add_argument("--n", type=int, required=True, help="maximum length")
-        p.add_argument("--threads", type=_positive_int, default=1)
         p.add_argument("--budget", type=_positive_int, default=None,
                        help=f"stored-permutation budget (default {classes.DEFAULT_BUDGET}, "
                        f"or ${classes.BUDGET_ENV_VAR})")

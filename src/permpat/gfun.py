@@ -146,6 +146,10 @@ def fit_rational(
     the denominator is a kernel vector of the linear system given by the
     coefficients above the numerator degree.
     """
+    if max_num_deg < 0 or max_den_deg < 0:
+        raise PermPatError(
+            f"fit degrees must be non-negative, got ({max_num_deg}, {max_den_deg})"
+        )
     n_top = len(series) - 1
     required = max_num_deg + max_den_deg + FIT_MARGIN
     if n_top < required:
@@ -249,6 +253,8 @@ def fit_algebraic(
     coefficients are skipped.  It is an error only if no pair at all fits
     in the prefix.
     """
+    if max_deg_z < 0:
+        raise PermPatError(f"algebraic fitting needs z-degree >= 0, got {max_deg_z}")
     if max_deg_y < 1:
         raise PermPatError("algebraic fitting needs y-degree >= 1")
     n_terms = len(series)

@@ -105,21 +105,21 @@ class Permutation:
         return all(v == n - i for i, v in enumerate(self._values))
 
 
-def parse(text: str) -> Permutation:
-    """Parse one-line notation.
+def _tokenize(text: str) -> list[int]:
+    """The integers of one-line notation, in order.
 
     Accepts whitespace/comma-delimited integers, or a compact digit string.
     The compact form is only unambiguous when every value is a single digit,
     so multi-digit values must be delimited.
 
-    >>> parse("314592687").values
-    (3, 1, 4, 5, 9, 2, 6, 8, 7)
-    >>> parse("7 10 1 4 9 14 2 11 3 13 12 6 8 5")[1]
-    10
+    >>> _tokenize("314")
+    [3, 1, 4]
+    >>> _tokenize("10, 3 7")
+    [10, 3, 7]
     """
     stripped = text.strip()
     if not stripped:
-        return Permutation(())
+        return []
     if any(c.isspace() for c in stripped) or "," in stripped:
         parts = stripped.replace(",", " ").split()
     elif stripped.isdigit():
@@ -127,10 +127,20 @@ def parse(text: str) -> Permutation:
     else:
         parts = [stripped]
     try:
-        values = [int(p) for p in parts]
+        return [int(p) for p in parts]
     except ValueError as exc:
         raise MalformedPermutationError(f"cannot parse {text!r}: {exc}") from None
-    return Permutation(values)
+
+
+def parse(text: str) -> Permutation:
+    """Parse one-line notation (see `_tokenize`) into a permutation.
+
+    >>> parse("314592687").values
+    (3, 1, 4, 5, 9, 2, 6, 8, 7)
+    >>> parse("7 10 1 4 9 14 2 11 3 13 12 6 8 5")[1]
+    10
+    """
+    return Permutation(_tokenize(text))
 
 
 def reduce_word(word: Sequence[int]) -> Permutation:
@@ -593,10 +603,6 @@ class Symmetry(Enum):
                     inv[v - 1] = i + 1
                 vals = tuple(inv)
         return Permutation(vals)
-
-
-def apply_symmetry(sigma: Permutation, symmetry: Symmetry) -> Permutation:
-    return symmetry.apply(sigma)
 
 
 def symmetry_orbit(sigma: Permutation) -> set[Permutation]:

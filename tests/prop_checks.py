@@ -224,7 +224,7 @@ def _basis_from(texts: list[str]) -> Basis:
 
 def check_enumerator_oracle(n_max: int = 7, small_n_max: int = 6) -> None:
     """Incremental (anchored-recheck) enumeration equals brute-force
-    filtering of S_n, and equals the unanchored full-check variant."""
+    filtering of S_n."""
     cases = [(_basis_from(texts), n_max) for texts in STANDARD_BASES]
     cases += [
         (Basis((p,)), small_n_max)
@@ -232,8 +232,6 @@ def check_enumerator_oracle(n_max: int = 7, small_n_max: int = 6) -> None:
     ]
     for basis, top in cases:
         fast = enumerate_class(basis, top)
-        full = enumerate_class(basis, top, full_check=True)
-        assert fast.counts == full.counts, basis
         assert fast.counts == brute_class_counts(basis.patterns, top), basis
 
 
@@ -270,14 +268,16 @@ def check_basis_monotonicity(n_max: int = 7) -> None:
         assert all(cb <= ca for ca, cb in zip(a, b))
 
 
-def check_parallel_determinism(n_max: int = 8) -> None:
+def check_witness_order(n_max: int = 8) -> None:
+    """Every witness level is strictly increasing in lexicographic order."""
     for texts in [["123"], ["132", "4321"]]:
         basis = _basis_from(texts)
-        reference = enumerate_class(basis, n_max, with_witnesses=True, threads=1)
-        for threads in (2, 3, 7):
-            other = enumerate_class(basis, n_max, with_witnesses=True, threads=threads)
-            assert other.counts == reference.counts
-            assert other.witnesses == reference.witnesses
+        enum = enumerate_class(basis, n_max, with_witnesses=True)
+        assert enum.witnesses is not None
+        assert [len(level) for level in enum.witnesses] == enum.counts
+        for level in enum.witnesses:
+            words = [w.values for w in level]
+            assert all(a < b for a, b in zip(words, words[1:])), texts
 
 
 def check_downset_membership_brute(n: int = 5) -> None:

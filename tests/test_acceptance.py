@@ -189,7 +189,7 @@ def test_criterion_11_property_suites():
         prop_checks.check_downset_property(n_max=7)
         prop_checks.check_count_symmetry_equivariance(n_max=7)
         prop_checks.check_basis_monotonicity(n_max=7)
-        prop_checks.check_parallel_determinism(n_max=8)
+        prop_checks.check_witness_order(n_max=8)
         prop_checks.check_downset_membership_brute(n=5)
 
     report(11, "exhaustive property suites at full sizes", check)

@@ -188,8 +188,8 @@ class TestSmallProperties:
     def test_monotonicity_small(self):
         prop_checks.check_basis_monotonicity(n_max=6)
 
-    def test_parallel_determinism_small(self):
-        prop_checks.check_parallel_determinism(n_max=6)
+    def test_witness_order_small(self):
+        prop_checks.check_witness_order(n_max=6)
 
     def test_members_match_brute(self):
         prop_checks.check_downset_membership_brute(n=4)

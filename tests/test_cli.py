@@ -40,9 +40,11 @@ class TestContains:
 class TestPermutationCommands:
     def test_reduce(self, capsys):
         assert run(capsys, "reduce", "4", "9", "6", "8")[1] == "1 4 2 3\n"
+        assert run(capsys, "reduce", "10 3 7")[1] == "3 1 2\n"
 
     def test_reduce_compact(self, capsys):
         assert run(capsys, "reduce", "4968")[1] == "1 4 2 3\n"
+        assert run(capsys, "reduce", "10")[1] == "2 1\n"
 
     def test_sum_skew(self, capsys):
         assert run(capsys, "sum", "2413", "4231")[1] == "2 4 1 3 8 6 7 5\n"
@@ -133,15 +135,6 @@ class TestEnumerate:
         assert doc["basis"] == [[1, 2, 3], [1, 3, 2]]
         assert all(parse(" ".join(map(str, b))) for b in doc["basis"])
 
-    def test_threads_byte_identical(self, capsys):
-        outputs = set()
-        for t in ("1", "2", "3"):
-            _, out, _ = run(
-                capsys, "enumerate", "132", "--n", "7", "--witnesses", "--threads", t
-            )
-            outputs.add(out)
-        assert len(outputs) == 1
-
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "50")
         code, out, _ = run(capsys, "enumerate", "", "--n", "8")
@@ -159,8 +152,7 @@ class TestEnumerate:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--threads", "-3"),
-                                             ("--budget", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--budget", "-1"), ("--budget", "0")])
     def test_nonpositive_flag_is_2(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["enumerate", "12", "--n", "3", flag, value])
@@ -176,6 +168,14 @@ class TestGrowthWilfClassify:
     def test_growth_diverging(self, capsys):
         _, out, _ = run(capsys, "growth", "", "--n", "6")
         assert "diverging" in out
+
+    def test_growth_marks_truncation(self, capsys):
+        code, out, _ = run(capsys, "growth", "123", "--n", "14", "--budget", "3000")
+        assert code == 0
+        assert out.splitlines()[-1] == "truncated: budget exhausted at length 9"
+        doc = run_json(capsys, "growth", "123", "--n", "14", "--budget", "3000")
+        assert doc["truncated_at"] == 9 and len(doc["values"]) == 9
+        assert "truncated" not in run(capsys, "growth", "123", "--n", "8")[1]
 
     def test_wilf(self, capsys):
         _, out, _ = run(capsys, "wilf", "123", "132", "--n", "7")
@@ -215,6 +215,26 @@ class TestGf:
         doc = run_json(capsys, "gf", "ratfit", "21", "--n", "12")
         assert doc["fit"]["numerator"] == [1]
         assert doc["fit"]["denominator"] == [1, -1]
+        assert doc["truncated_at"] is None
+
+    def test_series_marks_truncation(self, capsys):
+        code, out, _ = run(capsys, "gf", "series", "123", "--n", "14", "--budget", "3000")
+        assert code == 0
+        assert out == ("1 1 2 5 14 42 132 429 1430\n"
+                       "truncated: budget exhausted at length 9\n")
+        doc = run_json(capsys, "gf", "series", "123", "--n", "14", "--budget", "3000")
+        assert doc["truncated_at"] == 9
+
+    @pytest.mark.parametrize("argv", [
+        ["ratfit", "21", "--n", "12", "--deg-num", "-1"],
+        ["ratfit", "21", "--n", "12", "--deg-den", "-1"],
+        ["algfit", "123", "--n", "12", "--deg-z", "-1"],
+    ], ids=lambda argv: argv[-2])
+    def test_negative_degree_is_1(self, capsys, argv):
+        code, out, err = run(capsys, "gf", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestPlot:
@@ -256,6 +276,12 @@ class TestExitCodes:
     def test_cap_exceeded_is_1(self, capsys):
         assert run(capsys, "dist", "des", "--n", "11")[0] == 1
 
+    def test_bad_reduce_word_is_1(self, capsys):
+        code, out, err = run(capsys, "reduce", "1", "x", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_no_arguments_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             cli.main([])
@@ -264,6 +290,18 @@ class TestExitCodes:
     def test_unknown_flag_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["contains", "12", "1", "--frobnicate"])
+        assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "12", "--n", "3"],
+        ["growth", "12", "--n", "3"],
+        ["wilf", "12", "21", "--n", "3"],
+        ["classify", "2", "--n", "3"],
+        ["gf", "series", "12", "--n", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_threads_flag_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([*argv, "--threads", "2"])
         assert exc_info.value.code == 2
 
     def test_no_option_leaks_between_calls(self, capsys):

@@ -6,7 +6,6 @@ from permpat import (
     Permutation,
     PermPatError,
     Symmetry,
-    apply_symmetry,
     contains,
     direct_sum,
     extremal,
@@ -255,12 +254,12 @@ class TestExtremal:
 
 class TestSymmetry:
     def test_generators_on_132(self):
-        assert apply_symmetry(P("132"), Symmetry.REVERSE) == P("231")
-        assert apply_symmetry(P("132"), Symmetry.COMPLEMENT) == P("312")
-        assert apply_symmetry(P("132"), Symmetry.INVERSE) == P("132")
+        assert Symmetry.REVERSE.apply(P("132")) == P("231")
+        assert Symmetry.COMPLEMENT.apply(P("132")) == P("312")
+        assert Symmetry.INVERSE.apply(P("132")) == P("132")
 
     def test_identity(self):
-        assert apply_symmetry(EX9, Symmetry.IDENTITY) == EX9
+        assert Symmetry.IDENTITY.apply(EX9) == EX9
 
     def test_orbit_of_132(self):
         assert symmetry_orbit(P("132")) == {P("132"), P("213"), P("231"), P("312")}
