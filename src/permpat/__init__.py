@@ -45,10 +45,8 @@ from .patterns import (
     compile_bivincular,
     compile_vincular,
     consecutive_pattern,
-    mesh_contains,
     mesh_occurrences,
     parse_pattern,
-    vincular_contains,
     vincular_count,
     vincular_occurrences,
 )
@@ -78,7 +76,6 @@ from .stats import (
     descent_set,
     distribution,
     equidistributed,
-    register_statistic,
     statistic,
 )
 

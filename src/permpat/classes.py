@@ -35,7 +35,7 @@ from itertools import combinations, permutations as _all_perms
 from typing import Iterable, Union
 
 from .errors import InvalidBasisError, IterationCapError, PermPatError
-from .perm import Permutation, Symmetry, _kernel, contains
+from .perm import Permutation, _kernel, contains, symmetry_orbit
 
 # A frontier member is a one-line word: bytes while every value fits in a
 # byte, a tuple of ints after that.  Both slice, concatenate and sort alike.
@@ -323,7 +323,7 @@ def wilf_classify(k: int, n_max: int, budget: int | None = None) -> WilfClassifi
     classes.sort(key=lambda item: item[1][0].values)
     orbit_map: dict[frozenset[Permutation], list[Permutation]] = {}
     for p in pats:
-        key = frozenset(s.apply(p) for s in Symmetry)
+        key = frozenset(symmetry_orbit(p))
         orbit_map.setdefault(key, []).append(p)
     orbits = sorted(
         (sorted(members, key=lambda p: p.values) for members in orbit_map.values()),

@@ -161,8 +161,12 @@ def _cmd_match(args) -> Result:
     pattern = patterns.parse_pattern(args.pattern)
     hosts = [perm.parse(args.host)] if args.host is not None else []
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            hosts.extend(perm.parse(line) for line in fh if line.strip())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                hosts.extend(perm.parse(line) for line in fh if line.strip())
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise PermPatError(f"cannot read --file {args.file}: {reason}") from None
     if not hosts:
         raise PermPatError("match needs a host permutation or --file")
     results = []

@@ -39,5 +39,5 @@ class InsufficientPrefixError(PermPatError, ValueError):
         self.required_degree = required_degree
 
 
-class UnknownStatisticError(PermPatError, KeyError):
+class UnknownStatisticError(PermPatError):
     """A statistic name is not in the registry."""

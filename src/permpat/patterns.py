@@ -143,10 +143,6 @@ def mesh_occurrences(host: Permutation, mp: MeshPattern) -> list[tuple[int, ...]
     return out
 
 
-def mesh_contains(host: Permutation, mp: MeshPattern) -> bool:
-    return bool(mesh_occurrences(host, mp))
-
-
 def compile_vincular(vp: VincularPattern) -> MeshPattern:
     """Adjacency at position i becomes the fully shaded column i."""
     k = len(vp.pattern)
@@ -180,12 +176,6 @@ def vincular_count(host: Permutation, vp: VincularPattern | BivincularPattern) -
     return len(vincular_occurrences(host, vp))
 
 
-def vincular_contains(
-    host: Permutation, vp: VincularPattern | BivincularPattern
-) -> bool:
-    return vincular_count(host, vp) > 0
-
-
 def barred_contains(host: Permutation, bp: BarredPattern) -> bool:
     """True iff some occurrence of the effective pattern is not part of an
     occurrence of the whole pattern, i.e. no full occurrence restricts to
@@ -212,20 +202,38 @@ def _parse_digit(ch: str, position: int) -> int:
     return int(ch)
 
 
-def _pattern_from_json(doc: dict, text: str) -> Pattern:
-    perm = Permutation(doc["perm"])
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_cell(x: object) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
+
+
+def _json_list(doc: dict, key: str, cells: bool = False) -> list:
+    """doc[key] (absent: empty), checked to be a list of integers, or of
+    [column, row] integer pairs when `cells`."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(map(_is_cell if cells else _is_int, value)):
+        what = "[column, row] integer pairs" if cells else "integers"
+        raise PatternSyntaxError(f"pattern JSON field {key!r} must be a list of {what}", 0)
+    return value
+
+
+def _pattern_from_json(doc: dict) -> Pattern:
+    if "perm" not in doc:
+        raise PatternSyntaxError("pattern JSON needs a 'perm' field", 0)
+    perm = Permutation(_json_list(doc, "perm"))
     if "shaded" in doc:
-        return MeshPattern(perm, frozenset(tuple(c) for c in doc["shaded"]))
+        return MeshPattern(perm, _json_list(doc, "shaded", cells=True))
     if "adjacent_values" in doc:
         return BivincularPattern(
-            perm,
-            frozenset(doc.get("adjacent_positions", ())),
-            frozenset(doc["adjacent_values"]),
+            perm, _json_list(doc, "adjacent_positions"), _json_list(doc, "adjacent_values")
         )
     if "adjacent_positions" in doc:
-        return VincularPattern(perm, frozenset(doc["adjacent_positions"]))
+        return VincularPattern(perm, _json_list(doc, "adjacent_positions"))
     if "barred" in doc:
-        return BarredPattern(perm, frozenset(doc["barred"]))
+        return BarredPattern(perm, _json_list(doc, "barred"))
     return perm
 
 
@@ -250,7 +258,7 @@ def parse_pattern(text: str) -> Pattern:
             doc = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise PatternSyntaxError(f"bad pattern JSON: {exc.msg}", exc.pos) from None
-        return _pattern_from_json(doc, stripped)
+        return _pattern_from_json(doc)
     if "-" in stripped:
         values: list[int] = []
         adjacencies: set[int] = set()

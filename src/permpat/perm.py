@@ -6,27 +6,22 @@ by operations here (occurrences, intervals, extreme points) are 1-based, so
 they line up with the notation sigma(1)...sigma(n).  Values are accessed
 0-based via indexing, like any Python sequence.
 
-Containment has one search.  For each pattern it writes Python source with
-one nested `for` loop per pattern slot, in left-to-right order, each loop
-testing inline the open window of host values that the already-placed
-slots leave for its slot (the earlier slots holding the next smaller and
-next larger pattern values bound it).  The source is compiled with `exec`
-once per (pattern, mode) and kept in a `functools.lru_cache` of 1024
-entries.  The modes are:
+Containment has one search plan and two paths that read it.  `_plan`
+says which pattern slots a mode searches for and how many lie left of a
+gap: "first" (`contains`, `find_occurrence`) and "all" (`occurrences`,
+and through it mesh and barred matching) search the whole pattern;
+"anchored", for the class enumerator, searches the pattern minus its
+maximum with the slots before the maximum left of the gap where a new
+maximum is inserted, so no candidate is built to be searched.
 
-- "first": the lexicographically least occurrence (`contains`,
-  `find_occurrence`);
-- "all": every occurrence, built directly as 1-based tuples
-  (`occurrences`, and through it mesh and barred matching);
-- "anchored": for the class enumerator.  Inserting a new maximum into a
-  parent creates an occurrence only if the new point plays the pattern's
-  maximum, so the search looks for the pattern minus its maximum in the
-  parent, with the slots before the maximum left of the insertion gap and
-  the rest right of it.  No candidate is built to be searched.
-
-CPython compiles at most 20 nested loops, so longer patterns take an
-iterative search with an explicit stack (`_stack_search`), which works at
-any length and cannot hit the recursion limit.
+The fast path writes Python source with one nested `for` loop per slot,
+each testing inline the open window of host values that the earlier
+slots holding the next smaller and next larger pattern values leave it,
+compiles it once per (pattern, mode), and keeps it in a
+`functools.lru_cache` of 1024 entries.  CPython compiles at most 20
+nested loops; longer plans take `_stack_search`, an iterative search with
+an explicit stack that returns what the compiled kernel returns at any
+length and cannot hit the recursion limit.
 """
 
 from __future__ import annotations
@@ -179,10 +174,24 @@ def _bounds(pat: Sequence[int]) -> tuple[list[int], list[int]]:
     return below_ref, above_ref
 
 
-def _anchor_split(pat: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """pat without its maximum, and the number of slots left of it."""
-    q = pat.index(len(pat))
-    return pat[:q] + pat[q + 1 :], q
+def _plan(pat: tuple[int, ...], mode: str) -> tuple[tuple[int, ...], int]:
+    """The slots a mode searches for, and how many lie left of the gap:
+    pat whole, right of the gap, for "first" and "all"; pat minus its
+    maximum, split where the maximum was, for "anchored"."""
+    if mode == "anchored":
+        q = pat.index(len(pat))
+        return pat[:q] + pat[q + 1 :], q
+    return pat, 0
+
+
+# Per mode: the statement a compiled kernel runs on an occurrence (given as
+# a 1-based tuple), the value it returns when there is none, and how the
+# stack path turns its stream of 1-based occurrences into the same result.
+_RESULTS: dict[str, tuple[str, str, Callable]] = {
+    "first": ("return {}", "None", lambda occs: next(occs, None)),
+    "all": ("add({})", "out", list),
+    "anchored": ("return True", "False", lambda occs: next(occs, None) is not None),
+}
 
 
 def _offset(name: str, c: int) -> str:
@@ -190,45 +199,32 @@ def _offset(name: str, c: int) -> str:
 
 
 def _source(pat: tuple[int, ...], mode: str) -> str:
-    """Python source of one nested `for` loop per slot of pat, with the
-    value-window tests inlined.
-
-    "first" loops over 0-based positions and adds 1 to the one occurrence
-    it returns.  "all" pads the host with a leading 0, so its loop
-    variables are the 1-based positions themselves.  "anchored" reads a
-    parent and a gap g, and searches pat minus its maximum with the slots
-    before the maximum left of g and the rest right of it.
-    """
-    anchored = mode == "anchored"
-    base = 1 if mode == "all" else 0
-    q = 0
-    if anchored:
-        pat, q = _anchor_split(pat)
-    k = len(pat)
-    below, above = _bounds(pat)
+    """Python source of `kernel(h, g=0)`: one nested `for` loop per slot of
+    `_plan(pat, mode)`, the value-window tests inlined, the first slot
+    right of the gap starting at position g.  "all" pads the host with a
+    leading 0, so its loop variables are the 1-based positions it lists."""
+    slots, left = _plan(pat, mode)
+    found, missing, _ = _RESULTS[mode]
+    k = len(slots)
+    below, above = _bounds(slots)
     read_later = set(below) | set(above)
-    comma = "," if k == 1 else ""
+    lines = ["def kernel(h, g=0):", "    m = len(h)"]
+    base = 0
     if mode == "all":
-        lines = ["def kernel(host):", "    h = (0, *host)", "    m = len(host)",
-                 "    out = []", "    add = out.append"]
-        found, missing = f"add(({', '.join(f'p{t}' for t in range(k))}{comma}))", "return out"
-    elif mode == "first":
-        lines = ["def kernel(h):", "    m = len(h)"]
-        found = f"return ({', '.join(f'p{t} + 1' for t in range(k))}{comma})"
-        missing = "return None"
-    else:
-        lines = ["def kernel(h, g):", "    m = len(h)"]
-        short = [f"g < {q}"] * (q > 0) + [f"m - g < {k - q}"] * (k > q)
-        if short:
-            lines += [f"    if {' or '.join(short)}:", "        return False"]
-        found, missing = "return True", "return False"
+        base = 1
+        lines += ["    h = (0, *h)", "    out = []", "    add = out.append"]
+    comma = "," if k == 1 else ""
+    occ = f"({', '.join(_offset(f'p{t}', 1 - base) for t in range(k))}{comma})"
+    short = [f"g < {left}"] * (left > 0) + [f"m - g < {k - left}"] * (k > left)
+    if short:
+        lines += [f"    if {' or '.join(short)}:", f"        return {missing}"]
     # exclusive end of each slot: room is left for the slots after it
-    lines += [f"    e{t} = {_offset('g', t - q + 1) if t < q else _offset('m', t - k + 1 + base)}"
+    lines += [f"    e{t} = {_offset('g', t - left + 1) if t < left else _offset('m', t - k + 1 + base)}"
               for t in range(k)]
     indent = "    "
     for t in range(k):
-        if anchored and t == q:
-            start = "g"
+        if t == left:
+            start = _offset("g", base)
         elif t == 0:
             start = str(base)
         else:
@@ -247,74 +243,64 @@ def _source(pat: tuple[int, ...], mode: str) -> str:
         if test != value:
             lines.append(f"{indent}if {test}:")
             indent += "    "
-    lines.append(indent + found)
-    lines.append("    " + missing)
+    lines.append(indent + found.format(occ))
+    lines.append(f"    return {missing}")
     return "\n".join(lines) + "\n"
 
 
-def _stack_search(
-    host: Sequence[int], pat: Sequence[int], left: int = 0, gap: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Yield the 0-based position tuples of pat's occurrences in host, in
-    lexicographic order, by an iterative search with an explicit stack.
-    The first `left` slots lie left of position `gap` and the others at or
-    right of it.  Any pattern length works; the compiled kernels are the
-    fast path for patterns they can express."""
-    k = len(pat)
+def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, g: int = 0):
+    """What the compiled kernel of (pat, mode) returns for (host, g), found
+    by an iterative search with an explicit stack over the same plan: any
+    length works, and the recursion limit is never reached."""
+    slots, left = _plan(pat, mode)
+    k = len(slots)
+    below, above = _bounds(slots)
     n = len(host)
-    if k == 0:
-        yield ()
-        return
-    below, above = _bounds(pat)
-    ends = [gap - left + 1 + t if t < left else n - k + 1 + t for t in range(k)]
-    pos = [0] * k
-    t = 0
-    p = gap if left == 0 else 0
-    while True:
-        lo = host[pos[below[t]]] if below[t] >= 0 else 0
-        hi = host[pos[above[t]]] if above[t] >= 0 else n + 1
-        end = ends[t]
-        while p < end and not lo < host[p] < hi:
-            p += 1
-        if p < end:
-            pos[t] = p
-            if t == k - 1:
-                yield tuple(pos)
+    ends = [g - left + 1 + t if t < left else n - k + 1 + t for t in range(k)]
+
+    def walk() -> Iterator[tuple[int, ...]]:
+        if k == 0:
+            yield ()
+            return
+        pos = [0] * k
+        t = 0
+        p = g if left == 0 else 0
+        while True:
+            lo = host[pos[below[t]]] if below[t] >= 0 else 0
+            hi = host[pos[above[t]]] if above[t] >= 0 else n + 1
+            end = ends[t]
+            while p < end and not lo < host[p] < hi:
                 p += 1
+            if p < end:
+                pos[t] = p
+                if t == k - 1:
+                    yield tuple(q + 1 for q in pos)
+                    p += 1
+                else:
+                    t += 1
+                    p = g if t == left else p + 1
             else:
-                t += 1
-                p = gap if t == left else p + 1
-        else:
-            t -= 1
-            if t < 0:
-                return
-            p = pos[t] + 1
+                t -= 1
+                if t < 0:
+                    return
+                p = pos[t] + 1
+
+    return _RESULTS[mode][2](walk())
 
 
 @lru_cache(maxsize=1024)
 def _kernel(pat: tuple[int, ...], mode: str) -> Callable:
-    """The containment search for pat, built once per (pattern, mode).
-
-    - "first": host -> the lexicographically least occurrence (1-based) or None.
-    - "all": host -> every occurrence (1-based), in lexicographic order.
-    - "anchored": (parent, gap) -> whether inserting a new maximum into the
-      parent at that gap (0-based) creates an occurrence of pat.  The new
-      point can only play pat's maximum, so only pat minus its maximum is
-      searched in the parent, split at the gap.
-
-    Patterns needing more than _MAX_LOOPS nested loops use _stack_search.
-    """
-    loops = len(pat) - 1 if mode == "anchored" else len(pat)
-    if loops <= _MAX_LOOPS:
+    """`kernel(h, g=0)`, the search of `_plan(pat, mode)` in h, built once
+    per (pattern, mode).  "first" returns the least occurrence (1-based)
+    or None, "all" every occurrence in lexicographic order, "anchored"
+    whether inserting a new maximum into h at gap g (0-based) creates an
+    occurrence of pat.  Both paths read the one plan and return the same;
+    plans of more than _MAX_LOOPS slots take `_stack_search`."""
+    if len(_plan(pat, mode)[0]) <= _MAX_LOOPS:
         namespace: dict = {}
         exec(compile(_source(pat, mode), f"<kernel {mode} {pat}>", "exec"), namespace)
         return namespace["kernel"]
-    if mode == "anchored":
-        rest, q = _anchor_split(pat)
-        return lambda h, g: next(_stack_search(h, rest, q, g), None) is not None
-    if mode == "all":
-        return lambda h: [tuple(p + 1 for p in occ) for occ in _stack_search(h, pat)]
-    return lambda h: next((tuple(p + 1 for p in occ) for occ in _stack_search(h, pat)), None)
+    return lambda h, g=0: _stack_search(h, pat, mode, g)
 
 
 def contains(host: Permutation, pattern: Permutation) -> bool:

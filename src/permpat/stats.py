@@ -62,19 +62,17 @@ STATISTICS: dict[str, Callable[[Permutation], int]] = {
 }
 
 
-def register_statistic(name: str, fn: Callable[[Permutation], int]) -> None:
-    """Add a statistic to the registry (it must map to non-negative ints)."""
-    STATISTICS[name] = fn
+def _lookup(name: str) -> Callable[[Permutation], int]:
+    fn = STATISTICS.get(name)
+    if fn is None:
+        raise UnknownStatisticError(
+            f"unknown statistic {name!r}; known: {sorted(STATISTICS)}"
+        )
+    return fn
 
 
 def statistic(name: str, sigma: Permutation) -> int:
-    try:
-        fn = STATISTICS[name]
-    except KeyError:
-        raise UnknownStatisticError(
-            f"unknown statistic {name!r}; known: {sorted(STATISTICS)}"
-        ) from None
-    return fn(sigma)
+    return _lookup(name)(sigma)
 
 
 def distribution(name: str, n: int, cap: int = DEFAULT_ITERATION_CAP) -> list[int]:
@@ -89,11 +87,7 @@ def distribution(name: str, n: int, cap: int = DEFAULT_ITERATION_CAP) -> list[in
         )
     if n < 0:
         raise IterationCapError("length must be non-negative")
-    fn = STATISTICS.get(name)
-    if fn is None:
-        raise UnknownStatisticError(
-            f"unknown statistic {name!r}; known: {sorted(STATISTICS)}"
-        )
+    fn = _lookup(name)
     counts: list[int] = []
     for word in _all_perms(range(1, n + 1)):
         k = fn(Permutation(word))

@@ -14,7 +14,7 @@ from permpat import (
     parse,
     parse_basis,
     validate_basis,
-    vincular_contains,
+    vincular_count,
     parse_pattern,
     wilf_classify,
     wilf_equivalent,
@@ -95,7 +95,7 @@ class TestNonClassicalEnumeration:
         # three consecutive rising entries
         pattern = parse_pattern("1-23")
         enum = enumerate_avoiders(
-            lambda sigma: not vincular_contains(sigma, pattern), 5
+            lambda sigma: vincular_count(sigma, pattern) == 0, 5
         )
         # independent count: filter by direct definition
         from oracles import all_perms, vincular_occurrences_direct

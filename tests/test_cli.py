@@ -268,7 +268,30 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_unknown_statistic_is_1(self, capsys):
-        assert run(capsys, "stat", "nope", "123")[0] == 1
+        assert run(capsys, "stat", "nope", "123") == (
+            1, "", "error: unknown statistic 'nope'; known: ['des', 'exc', 'inv', 'maj']\n"
+        )
+
+    def test_missing_match_file_is_1(self, capsys, tmp_path):
+        path = tmp_path / "missing.txt"
+        assert run(capsys, "match", "--file", str(path), "12") == (
+            1, "", f"error: cannot read --file {path}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("doc", [
+        '{"shaded":[]}',
+        '{"perm":5}',
+        '{"perm":[1],"shaded":5}',
+        '{"perm":[1,2],"adjacent_positions":5}',
+        '{"perm":[1,2],"barred":5}',
+        '{"perm":[1],"shaded":[[1]]}',
+        '{"perm":[1,2],"barred":[1.5]}',
+    ])
+    def test_malformed_pattern_json_is_1(self, capsys, doc):
+        code, out, err = run(capsys, "match", doc, "12")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: pattern JSON ") and len(err.splitlines()) == 1
 
     def test_bad_basis_is_1(self, capsys):
         assert run(capsys, "enumerate", "12,123", "--n", "4")[0] == 1

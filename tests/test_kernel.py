@@ -4,7 +4,7 @@ against the brute-force oracles."""
 from hypothesis import given, settings, strategies as st
 
 from permpat import Permutation, cli, contains, find_occurrence, occurrences
-from permpat.perm import _MAX_LOOPS, _anchor_split, _kernel, _source, _stack_search
+from permpat.perm import _MAX_LOOPS, _kernel, _source, _stack_search
 
 from oracles import brute_occurrences
 
@@ -19,16 +19,6 @@ def with_new_maximum(sigma: tuple[int, ...], g: int) -> Permutation:
     return Permutation(sigma[:g] + (len(sigma) + 1,) + sigma[g:])
 
 
-def stack_first(host, pat):
-    occ = next(_stack_search(host, pat), None)
-    return None if occ is None else tuple(p + 1 for p in occ)
-
-
-def stack_anchored(parent, pat, g):
-    rest, q = _anchor_split(pat)
-    return next(_stack_search(parent, rest, q, g), None) is not None
-
-
 @settings(max_examples=400, deadline=None)
 @given(host=perms(0, 8), pattern=perms(0, 6))
 def test_first_and_all_match_oracle(host, pattern):
@@ -36,8 +26,8 @@ def test_first_and_all_match_oracle(host, pattern):
     assert occurrences(host, pattern) == expected
     assert find_occurrence(host, pattern) == (expected[0] if expected else None)
     assert contains(host, pattern) == bool(expected)
-    assert [tuple(p + 1 for p in occ) for occ in _stack_search(host.values, pattern.values)] == expected
-    assert stack_first(host.values, pattern.values) == find_occurrence(host, pattern)
+    assert _stack_search(host.values, pattern.values, "all") == expected
+    assert _stack_search(host.values, pattern.values, "first") == find_occurrence(host, pattern)
 
 
 @settings(max_examples=400, deadline=None)
@@ -49,12 +39,13 @@ def test_anchored_matches_oracle(parent, pattern, data):
     expected = any(g + 1 in occ for occ in brute_occurrences(cand, pattern))
     assert _kernel(pattern.values, "anchored")(sigma, g) == expected
     assert _kernel(pattern.values, "anchored")(bytes(sigma), g) == expected
-    assert stack_anchored(sigma, pattern.values, g) == expected
+    assert _stack_search(sigma, pattern.values, "anchored", g) == expected
 
 
 def test_loop_limit_is_where_compilation_ends():
     pat = tuple(range(1, _MAX_LOOPS + 1))
     compile(_source(pat, "first"), "<kernel>", "exec")
+    compile(_source(pat, "all"), "<kernel>", "exec")
     compile(_source(pat + (_MAX_LOOPS + 1,), "anchored"), "<kernel>", "exec")
 
 

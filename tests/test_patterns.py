@@ -17,7 +17,6 @@ from permpat import (
     occurrences,
     parse,
     parse_pattern,
-    vincular_contains,
     vincular_count,
 )
 
@@ -75,8 +74,8 @@ class TestVincular:
         assert vincular_count(HOST, parse_pattern("2-31-4")) == 2
         assert vincular_count(HOST, parse_pattern("2-314")) == 1
         assert vincular_count(HOST, parse_pattern("23-14")) == 0
-        assert vincular_contains(HOST, parse_pattern("2-31-4"))
-        assert not vincular_contains(HOST, parse_pattern("23-14"))
+        assert vincular_count(HOST, parse_pattern("2-31-4")) > 0
+        assert vincular_count(HOST, parse_pattern("23-14")) == 0
 
     def test_compile_shades_full_columns(self):
         vp = VincularPattern(parse("2314"), frozenset({2}))
