@@ -1,29 +1,41 @@
 """Classical permutation classes Av(B): enumeration, growth proxies, Wilf
 equivalence and classification.
 
-Enumeration is incremental: the length-(n+1) members are generated by
-inserting the new maximum value n+1 into every gap of every length-n
-member, keeping the results that avoid the basis.  This is exhaustive
-because classes are down-sets: deleting the maximum from any member of
-Av_{n+1}(B) lands in Av_n(B).  Since each parent already avoids B, a
-candidate can only fail through an occurrence using the new point, and the
-new point can only play a basis pattern's maximum.  So each (parent, gap)
-is checked by perm's anchored kernel, which searches the pattern minus its
-maximum in the parent split at the gap, and a candidate is built only when
-it survives (the brute-force filter oracle in the test suite verifies this
-restriction).
+Enumeration walks the generating tree of Av(B): the children of a
+length-n member are the members made by inserting the new maximum n+1
+into one of its gaps.  This is exhaustive because classes are down-sets:
+deleting the maximum from any member of Av_{n+1}(B) lands in Av_n(B).
+A node is (word, x, sites): the member, the position x of its maximum,
+and its active sites, the gaps where a new maximum keeps it in the class;
+its children are made at its active sites and nowhere else.
 
-Each length is one single-threaded pass over the frontier, bounded by
-the budget: the pass stops as soon as the members kept would exceed what
-is left of it, and the result is marked truncated at that length.  Counts
-do not depend on the order of the frontier, so levels are left in the
-order they are generated; they are sorted only when witness lists are
-asked for, once per length, as the witnesses are built.
+Sites are inherited (West, Generating trees and the Catalan and Schröder
+numbers, 1995): a site that is inactive stays inactive in every
+descendant.  So the candidate sites of the child made at site h are the
+images of its parent's active sites: a for a < h, both h and h+1, and a+1
+for a > h.  An occurrence that kills a candidate g must use the new point,
+and if it missed the child's maximum it would already have killed g's
+preimage in the parent.  So it uses both, as a basis pattern's largest and
+second-largest values, and each candidate is checked by perm's
+"two-anchor" kernel, which searches the pattern minus those two values,
+split by x and g, and returns at once when g lies on the wrong side of x
+(the brute-force class counts in the test suite verify this restriction).
 
-The frontier holds each member as `bytes`, one byte per value, which
-slices, concatenates and sorts like a tuple of ints in about a third of
-the memory.  Past length 255 the values no longer fit, and the frontier
-becomes tuples.
+|L_{n+1}| is the number of active sites over L_n, so the walk never
+builds its last level: a count-only run keeps one level of nodes and
+streams level n_max - 1, adding up its sites, and never computes the sites
+of a node that will have no children.  A witness run keeps each level's
+words and builds level n_max from its parents' sites; the words are
+sorted once per length as the witnesses are built.
+
+Each length is charged to the budget as if it were stored: the walk stops
+as soon as the lengths so far and the sites counted for the next one
+exceed the budget, and the result is marked truncated at that next
+length, the first n with |L_0| + ... + |L_n| > budget.
+
+Each word is `bytes`, one byte per value, which slices, concatenates and
+sorts like a tuple of ints in about a third of the memory.  Past length
+255 the values no longer fit, and the words become tuples.
 """
 
 from __future__ import annotations
@@ -37,9 +49,12 @@ from typing import Iterable, Union
 from .errors import InvalidBasisError, IterationCapError, PermPatError
 from .perm import Permutation, _kernel, contains, symmetry_orbit
 
-# A frontier member is a one-line word: bytes while every value fits in a
+# A member is a one-line word: bytes while every value fits in a
 # byte, a tuple of ints after that.  Both slice, concatenate and sort alike.
 Word = Union[bytes, tuple[int, ...]]
+# A node of the generating tree: a member, the position of its maximum and
+# its active sites, the gaps where a new maximum keeps it in the class.
+Node = tuple[Word, int, list[int]]
 _BYTE_LIMIT = 255
 
 DEFAULT_BUDGET = 10_000_000
@@ -115,28 +130,27 @@ class ClassEnumeration:
         return len(self.counts) - 1
 
 
-def _expand_level(
-    frontier: list[Word],
-    pats: tuple[tuple[int, ...], ...],
-    point: Word,
-    limit: int,
-) -> list[Word] | None:
-    """Insert the new maximum `point` into every gap of every frontier
-    member, keeping avoiders.  Returns None as soon as more than `limit`
-    avoiders have been kept."""
-    out: list[Word] = []
-    add = out.append
-    hits = [_kernel(p, "anchored") for p in pats]
-    for sigma in frontier:
-        for g in range(len(sigma) + 1):
+def _grow(
+    level: list[Node], point: Word, hits: list, limit: int, keep: bool
+) -> tuple[list[Node], int]:
+    """The children of the nodes of `level`, one per active site, each with
+    its own active sites, and how many sites they have in all: the size of
+    the level after theirs.  The children are returned only if `keep`; the
+    pass stops once the sites exceed `limit`."""
+    children: list[Node] = []
+    size = 0
+    for word, _, sites in level:
+        for i, x in enumerate(sites):
+            child = word[:x] + point + word[x:]
+            active = [*sites[:i], x, x + 1, *[a + 1 for a in sites[i + 1 :]]]
             for hit in hits:
-                if hit(sigma, g):
-                    break
-            else:
-                add(sigma[:g] + point + sigma[g:])
-        if len(out) > limit:
-            return None
-    return out
+                active = [g for g in active if not hit(child, g, x)]
+            size += len(active)
+            if keep:
+                children.append((child, x, active))
+        if size > limit:
+            break
+    return children, size
 
 
 def enumerate_class(
@@ -147,41 +161,47 @@ def enumerate_class(
 ) -> ClassEnumeration:
     """Count (and optionally list) Av_n(B) for n = 0..n_max.
 
-    `budget` caps the total number of stored permutations; when it would be
-    exceeded the result is truncated at that length, never silently wrong.
-    Witness lists are sorted lexicographically within each length.
+    `budget` caps the total number of permutations of the lengths reported,
+    each length charged as if stored; when it would be exceeded the result
+    is truncated at that length, never silently wrong.  Witness lists are
+    sorted lexicographically within each length.
     """
     if n_max < 0:
         raise PermPatError("n_max must be non-negative")
     if budget is None:
         budget = _default_budget()
     pats = tuple(p.values for p in basis.patterns)
-    frontier: list[Word] = [] if any(len(p) == 0 for p in pats) else [b""]
-    counts = [len(frontier)]
-    levels: list[list[Word]] | None = [frontier] if with_witnesses else None
-    stored = len(frontier)
+    hits = [_kernel(p, "two-anchor") for p in pats if len(p) > 1]
+    # The root is the empty word; its one gap is active unless 1 is in B,
+    # and the empty pattern in B leaves no root at all.
+    level: list[Node] = [] if () in pats else [(b"", 0, [] if (1,) in pats else [0])]
+    counts = [len(level)]
+    words: list[list[Word]] | None = [[b""] * len(level)] if with_witnesses else None
+    stored = len(level)
+    size = sum(len(sites) for _, _, sites in level)
     truncated_at: int | None = None
     for n in range(1, n_max + 1):
-        if n == _BYTE_LIMIT + 1:  # values no longer fit in a byte
-            frontier = [tuple(sigma) for sigma in frontier]
-        point: Word = bytes((n,)) if n <= _BYTE_LIMIT else (n,)
-        next_level = _expand_level(frontier, pats, point, limit=budget - stored)
-        if next_level is None:
+        if stored + size > budget:
             truncated_at = n
             break
-        stored += len(next_level)
-        counts.append(len(next_level))
-        if levels is not None:
-            levels.append(next_level)
-        frontier = next_level
-        if not frontier:
+        stored += size
+        counts.append(size)
+        if n == _BYTE_LIMIT + 1:  # values no longer fit in a byte
+            level = [(tuple(word), x, sites) for word, x, sites in level]
+        point: Word = bytes((n,)) if n <= _BYTE_LIMIT else (n,)
+        if words is not None:
+            words.append([w[:x] + point + w[x:] for w, _, sites in level for x in sites])
+        if not size:
             counts.extend([0] * (n_max - n))
-            if levels is not None:
-                levels.extend([] for _ in range(n_max - n))
+            if words is not None:
+                words.extend([] for _ in range(n_max - n))
             break
+        if n < n_max:
+            level, size = _grow(level, point, hits, budget - stored,
+                                keep=words is not None or n < n_max - 1)
     witnesses = None
-    if levels is not None:
-        witnesses = [[Permutation(w) for w in sorted(level)] for level in levels]
+    if words is not None:
+        witnesses = [[Permutation(w) for w in sorted(level)] for level in words]
     return ClassEnumeration(basis, counts, witnesses, truncated_at)
 
 

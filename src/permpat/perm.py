@@ -7,12 +7,14 @@ they line up with the notation sigma(1)...sigma(n).  Values are accessed
 0-based via indexing, like any Python sequence.
 
 Containment has one search plan and two paths that read it.  `_plan`
-says which pattern slots a mode searches for and how many lie left of a
-gap: "first" (`contains`, `find_occurrence`) and "all" (`occurrences`,
-and through it mesh and barred matching) search the whole pattern;
-"anchored", for the class enumerator, searches the pattern minus its
-maximum with the slots before the maximum left of the gap where a new
-maximum is inserted, so no candidate is built to be searched.
+says which pattern slots a mode searches for and which host segment each
+lies in, between the anchors "g" (a gap) and "x" (a position).  "first"
+(`contains`, `find_occurrence`) and "all" (`occurrences`, and through it
+mesh and barred matching) search the whole pattern right of g = 0.
+"two-anchor", for the class enumerator, fixes a pattern's two largest
+values, the second largest at the host's maximum x and the largest at a
+new point inserted at gap g, and searches the rest in the three segments
+x and g split off, so no candidate is built to be searched.
 
 The fast path writes Python source with one nested `for` loop per slot,
 each testing inline the open window of host values that the earlier
@@ -50,7 +52,7 @@ class Permutation:
         n = len(vals)
         seen = [False] * n
         for v in vals:
-            if not isinstance(v, int) or v < 1 or v > n:
+            if type(v) is not int or v < 1 or v > n:  # bool is an int subclass
                 raise MalformedPermutationError(
                     f"value {v!r} is not in the range 1..{n}"
                 )
@@ -174,14 +176,21 @@ def _bounds(pat: Sequence[int]) -> tuple[list[int], list[int]]:
     return below_ref, above_ref
 
 
-def _plan(pat: tuple[int, ...], mode: str) -> tuple[tuple[int, ...], int]:
-    """The slots a mode searches for, and how many lie left of the gap:
-    pat whole, right of the gap, for "first" and "all"; pat minus its
-    maximum, split where the maximum was, for "anchored"."""
-    if mode == "anchored":
-        q = pat.index(len(pat))
-        return pat[:q] + pat[q + 1 :], q
-    return pat, 0
+def _plan(pat: tuple[int, ...], mode: str) -> tuple[tuple[int, ...], tuple]:
+    """The slots a mode searches for, in pattern order, and the host
+    segments they fall in: (slot count, start, end), each bound an anchor
+    ("0", "g", "x" or the host length "m") plus an offset, the end
+    exclusive.  "first" and "all" search pat whole, right of the gap g.
+    "two-anchor" searches pat minus its two largest values: the second
+    largest is the host's point at position x, the largest a new point at
+    gap g, and the other slots fall in the three segments they split off.
+    A segment after the point at x starts at x + 1; one after g at g."""
+    if mode != "two-anchor":
+        return pat, ((len(pat), ("g", 0), ("m", 0)),)
+    k = len(pat)
+    (q, a, da), (r, b, db) = sorted([(pat.index(k - 1), "x", 1), (pat.index(k), "g", 0)])
+    segments = ((q, ("0", 0), (a, 0)), (r - q - 1, (a, da), (b, 0)), (k - r - 1, (b, db), ("m", 0)))
+    return tuple(v for v in pat if v < k - 1), segments
 
 
 # Per mode: the statement a compiled kernel runs on an occurrence (given as
@@ -190,7 +199,7 @@ def _plan(pat: tuple[int, ...], mode: str) -> tuple[tuple[int, ...], int]:
 _RESULTS: dict[str, tuple[str, str, Callable]] = {
     "first": ("return {}", "None", lambda occs: next(occs, None)),
     "all": ("add({})", "out", list),
-    "anchored": ("return True", "False", lambda occs: next(occs, None) is not None),
+    "two-anchor": ("return True", "False", lambda occs: next(occs, None) is not None),
 }
 
 
@@ -199,37 +208,39 @@ def _offset(name: str, c: int) -> str:
 
 
 def _source(pat: tuple[int, ...], mode: str) -> str:
-    """Python source of `kernel(h, g=0)`: one nested `for` loop per slot of
-    `_plan(pat, mode)`, the value-window tests inlined, the first slot
-    right of the gap starting at position g.  "all" pads the host with a
-    leading 0, so its loop variables are the 1-based positions it lists."""
-    slots, left = _plan(pat, mode)
+    """Python source of `kernel(h, <anchors>=0)`: one nested `for` loop per
+    slot of `_plan(pat, mode)`, the value-window tests inlined, the first
+    slot of each segment starting at the segment's start.  A segment too
+    short for its slots, or one between the two anchors that they invert,
+    returns at once.  "all" pads the host with a leading 0, so its loop
+    variables are the 1-based positions it lists."""
+    slots, segments = _plan(pat, mode)
     found, missing, _ = _RESULTS[mode]
     k = len(slots)
     below, above = _bounds(slots)
     read_later = set(below) | set(above)
-    lines = ["def kernel(h, g=0):", "    m = len(h)"]
+    anchors = sorted({v for _, (s, _), (e, _) in segments for v in (s, e)} - {"0", "m"})
+    lines = [f"def kernel(h, {', '.join(a + '=0' for a in anchors)}):", "    m = len(h)"]
     base = 0
     if mode == "all":
         base = 1
         lines += ["    h = (0, *h)", "    out = []", "    add = out.append"]
     comma = "," if k == 1 else ""
     occ = f"({', '.join(_offset(f'p{t}', 1 - base) for t in range(k))}{comma})"
-    short = [f"g < {left}"] * (left > 0) + [f"m - g < {k - left}"] * (k > left)
+    short = [f"{e if s == '0' else f'{e} - {s}'} < {c + ds - de}"
+             for c, (s, ds), (e, de) in segments if c or s != "0" and e != "m"]
     if short:
         lines += [f"    if {' or '.join(short)}:", f"        return {missing}"]
-    # exclusive end of each slot: room is left for the slots after it
-    lines += [f"    e{t} = {_offset('g', t - left + 1) if t < left else _offset('m', t - k + 1 + base)}"
-              for t in range(k)]
+    starts: dict[int, str] = {}
+    ends: list[str] = []  # exclusive end of each slot: room is left for the slots after it
+    for c, (s, ds), (e, de) in segments:
+        if c:
+            starts[len(ends)] = _offset(s, ds + base)
+        ends += [_offset(e, de + base + i - c + 1) for i in range(c)]
+    lines += [f"    e{t} = {end}" for t, end in enumerate(ends)]
     indent = "    "
     for t in range(k):
-        if t == left:
-            start = _offset("g", base)
-        elif t == 0:
-            start = str(base)
-        else:
-            start = f"p{t - 1} + 1"
-        lines.append(f"{indent}for p{t} in range({start}, e{t}):")
+        lines.append(f"{indent}for p{t} in range({starts.get(t, f'p{t - 1} + 1')}, e{t}):")
         indent += "    "
         value = f"h[p{t}]"
         if t in read_later:
@@ -248,23 +259,34 @@ def _source(pat: tuple[int, ...], mode: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, g: int = 0):
-    """What the compiled kernel of (pat, mode) returns for (host, g), found
-    by an iterative search with an explicit stack over the same plan: any
-    length works, and the recursion limit is never reached."""
-    slots, left = _plan(pat, mode)
+def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, g: int = 0, x: int = 0):
+    """What the compiled kernel of (pat, mode) returns for (host, g, x),
+    found by an iterative search with an explicit stack over the same plan:
+    any length works, and the recursion limit is never reached."""
+    slots, segments = _plan(pat, mode)
     k = len(slots)
     below, above = _bounds(slots)
     n = len(host)
-    ends = [g - left + 1 + t if t < left else n - k + 1 + t for t in range(k)]
+    at = {"0": 0, "g": g, "x": x, "m": n}
+    starts: dict[int, int] = {}
+    ends: list[int] = []
+    short = False
+    for c, (s, ds), (e, de) in segments:
+        start, end = at[s] + ds, at[e] + de
+        short = short or end - start < c
+        if c:
+            starts[len(ends)] = start
+        ends += range(end - c + 1, end + 1)
 
     def walk() -> Iterator[tuple[int, ...]]:
+        if short:
+            return
         if k == 0:
             yield ()
             return
         pos = [0] * k
         t = 0
-        p = g if left == 0 else 0
+        p = starts[0]
         while True:
             lo = host[pos[below[t]]] if below[t] >= 0 else 0
             hi = host[pos[above[t]]] if above[t] >= 0 else n + 1
@@ -278,7 +300,7 @@ def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, g: int =
                     p += 1
                 else:
                     t += 1
-                    p = g if t == left else p + 1
+                    p = starts.get(t, p + 1)
             else:
                 t -= 1
                 if t < 0:
@@ -290,17 +312,19 @@ def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, g: int =
 
 @lru_cache(maxsize=1024)
 def _kernel(pat: tuple[int, ...], mode: str) -> Callable:
-    """`kernel(h, g=0)`, the search of `_plan(pat, mode)` in h, built once
-    per (pattern, mode).  "first" returns the least occurrence (1-based)
-    or None, "all" every occurrence in lexicographic order, "anchored"
-    whether inserting a new maximum into h at gap g (0-based) creates an
-    occurrence of pat.  Both paths read the one plan and return the same;
-    plans of more than _MAX_LOOPS slots take `_stack_search`."""
+    """The search of `_plan(pat, mode)`, built once per (pattern, mode).
+    "first" and "all" are `kernel(h, g=0)`: the least occurrence (1-based)
+    or None, and every occurrence in lexicographic order.  "two-anchor" is
+    `kernel(h, g=0, x=0)`: whether an occurrence of pat uses both h's
+    point at x, as pat's second largest value, and a new point larger than
+    all of h inserted at gap g (0-based), as its largest.  Both paths read
+    the one plan and return the same; plans of more than _MAX_LOOPS slots
+    take `_stack_search`."""
     if len(_plan(pat, mode)[0]) <= _MAX_LOOPS:
         namespace: dict = {}
         exec(compile(_source(pat, mode), f"<kernel {mode} {pat}>", "exec"), namespace)
         return namespace["kernel"]
-    return lambda h, g=0: _stack_search(h, pat, mode, g)
+    return lambda h, g=0, x=0: _stack_search(h, pat, mode, g, x)
 
 
 def contains(host: Permutation, pattern: Permutation) -> bool:

@@ -223,7 +223,7 @@ def _basis_from(texts: list[str]) -> Basis:
 
 
 def check_enumerator_oracle(n_max: int = 7, small_n_max: int = 6) -> None:
-    """Incremental (anchored-recheck) enumeration equals brute-force
+    """The generating-tree walk over inherited active sites equals brute-force
     filtering of S_n."""
     cases = [(_basis_from(texts), n_max) for texts in STANDARD_BASES]
     cases += [

@@ -1,6 +1,7 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permpat import (
     Basis,
@@ -20,7 +21,7 @@ from permpat import (
     wilf_equivalent,
 )
 
-from oracles import catalan_numbers
+from oracles import brute_class_counts, brute_contains, catalan_numbers
 
 import prop_checks
 
@@ -77,6 +78,8 @@ class TestEnumerate:
         enum = enumerate_class(parse_basis("21"), 300, with_witnesses=True)
         assert enum.counts == [1] * 301
         assert enum.witnesses[-1] == [Permutation.identity(300)]
+        for text in ("21", "12"):
+            assert enumerate_class(parse_basis(text), 300).counts == [1] * 301
 
     def test_budget_truncation_marker(self):
         enum = enumerate_class(B(), 10, budget=100)
@@ -86,6 +89,29 @@ class TestEnumerate:
     def test_negative_n(self):
         with pytest.raises(PermPatError):
             enumerate_class(B("21"), -1)
+
+
+def antichains():
+    """Bases of 1-3 pairwise incomparable patterns of length 2-5."""
+    pattern = st.integers(2, 5).flatmap(lambda k: st.permutations(range(1, k + 1))).map(Permutation)
+    return st.lists(pattern, min_size=1, max_size=3, unique=True).filter(
+        lambda ps: not any(a != b and brute_contains(b, a) for a in ps for b in ps)
+    ).map(validate_basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(basis=antichains(), n_max=st.integers(0, 7))
+def test_counts_match_brute_force(basis, n_max):
+    assert enumerate_class(basis, n_max).counts == brute_class_counts(basis.patterns, n_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(basis=antichains(), n_max=st.integers(0, 7), budget=st.sampled_from([None, 1, 5, 30, 200]))
+def test_count_only_truncates_where_witnesses_do(basis, n_max, budget):
+    counted = enumerate_class(basis, n_max, budget=budget)
+    listed = enumerate_class(basis, n_max, with_witnesses=True, budget=budget)
+    assert counted.truncated_at == listed.truncated_at
+    assert counted.counts == listed.counts == [len(level) for level in listed.witnesses]
 
 
 class TestNonClassicalEnumeration:

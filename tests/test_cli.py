@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from permpat import cli, parse
 from permpat.classes import BUDGET_ENV_VAR
@@ -158,6 +159,16 @@ class TestEnumerate:
             cli.main(["enumerate", "12", "--n", "3", flag, value])
         assert exc_info.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["enumerate", ",", "--n", "3"], "0 0\n1 0\n2 0\n3 0\n"),
+        (["enumerate", ",", "--n", "3", "--witnesses"], "0 0\n1 0\n2 0\n3 0\n"),
+        (["growth", ",", "--n", "3"], "lower 0.000000\nupper 0.000000\nfinite class\n"),
+        (["gf", "series", ",", "--n", "3"], "0 0 0 0\n"),
+    ], ids=["enumerate", "witnesses", "growth", "gf"])
+    def test_empty_pattern_basis_is_the_empty_class(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
 
 
 class TestGrowthWilfClassify:
@@ -347,3 +358,19 @@ class TestExitCodes:
                 cli.main([name, "--help"])
             assert exc_info.value.code == 0
             assert capsys.readouterr().out
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(basis=st.text(alphabet="0123456789, -.x∅", max_size=10), wilf=st.booleans())
+def test_basis_argument_fuzz(capsys, basis, wilf):
+    argv = ["wilf", basis, "12"] if wilf else ["enumerate", basis]
+    try:
+        code = cli.main([*argv, "--n", "4"])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1

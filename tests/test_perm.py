@@ -57,6 +57,10 @@ class TestParse:
         with pytest.raises(MalformedPermutationError, match="duplicate value 2"):
             parse("3 1 2 2")
 
+    def test_bool_values_rejected(self):
+        with pytest.raises(MalformedPermutationError, match="True"):
+            Permutation([True, 2])
+
     def test_out_of_range_named(self):
         with pytest.raises(MalformedPermutationError, match="5"):
             parse("1 2 5")
