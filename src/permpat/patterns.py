@@ -197,7 +197,7 @@ def barred_contains(host: Permutation, bp: BarredPattern) -> bool:
 
 
 def _parse_digit(ch: str, position: int) -> int:
-    if not ch.isdigit() or ch == "0":
+    if not "1" <= ch <= "9":
         raise PatternSyntaxError(f"expected a digit 1-9, got {ch!r}", position)
     return int(ch)
 
@@ -258,6 +258,8 @@ def parse_pattern(text: str) -> Pattern:
             doc = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise PatternSyntaxError(f"bad pattern JSON: {exc.msg}", exc.pos) from None
+        except RecursionError:
+            raise PatternSyntaxError("pattern JSON is nested too deeply", 0) from None
         return _pattern_from_json(doc)
     if "-" in stripped:
         values: list[int] = []

@@ -24,6 +24,12 @@ compiles it once per (pattern, mode), and keeps it in a
 nested loops; longer plans take `_stack_search`, an iterative search with
 an explicit stack that returns what the compiled kernel returns at any
 length and cannot hit the recursion limit.
+
+The structural half is one scan per decomposition: `_cut` for the sum and
+skew components, and `_interval_ends`, the intervals from one start by a
+running min/max scan, behind `intervals`, `is_simple` (first proper one)
+and `substitution_decompose` (longest proper one per block).  Each takes
+O(n^2) time at worst; `is_simple` and `substitution_decompose` O(n) memory.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedPermutationError, PermPatError
@@ -107,7 +114,7 @@ def _tokenize(text: str) -> list[int]:
 
     Accepts whitespace/comma-delimited integers, or a compact digit string.
     The compact form is only unambiguous when every value is a single digit,
-    so multi-digit values must be delimited.
+    so multi-digit values must be delimited.  Only ASCII digits are read.
 
     >>> _tokenize("314")
     [3, 1, 4]
@@ -124,6 +131,8 @@ def _tokenize(text: str) -> list[int]:
     else:
         parts = [stripped]
     try:
+        if not stripped.isascii() or "_" in stripped or "+" in stripped:
+            raise ValueError("only ASCII digits, spaces and commas are read")
         return [int(p) for p in parts]
     except ValueError as exc:
         raise MalformedPermutationError(f"cannot parse {text!r}: {exc}") from None
@@ -381,46 +390,40 @@ def skew_sum(sigma: Permutation, *more: Permutation) -> Permutation:
     return Permutation(vals)
 
 
-def sum_decompose(sigma: Permutation) -> list[Permutation]:
-    """The unique decomposition into sum-indecomposable components."""
-    if len(sigma) == 0:
+def _cut(sigma: Permutation, word: Sequence[int]) -> list[Permutation]:
+    """sigma cut after each position i (0-based) where the running maximum
+    of `word` reaches i + 1, each block shifted down by its minimum."""
+    vals = sigma.values
+    if not vals:
         raise PermPatError("cannot decompose the empty permutation")
     comps: list[Permutation] = []
-    start = 0
-    running_max = 0
-    for i, v in enumerate(sigma.values):
-        if v > running_max:
-            running_max = v
-        if running_max == i + 1:
-            comps.append(Permutation(v - start for v in sigma.values[start : i + 1]))
+    start = top = 0
+    for i, v in enumerate(word):
+        if v > top:
+            top = v
+        if top == i + 1:
+            block = vals[start : i + 1]
+            shift = min(block) - 1
+            comps.append(Permutation(w - shift for w in block))
             start = i + 1
     return comps
+
+
+def sum_decompose(sigma: Permutation) -> list[Permutation]:
+    """The unique decomposition into sum-indecomposable components."""
+    return _cut(sigma, sigma.values)
 
 
 def skew_decompose(sigma: Permutation) -> list[Permutation]:
     """The unique decomposition into skew-indecomposable components."""
     n = len(sigma)
-    if n == 0:
-        raise PermPatError("cannot decompose the empty permutation")
-    comps: list[Permutation] = []
-    start = 0
-    running_min = n + 1
-    for i, v in enumerate(sigma.values):
-        if v < running_min:
-            running_min = v
-        if running_min == n - i:
-            shift = n - i - 1
-            comps.append(Permutation(v - shift for v in sigma.values[start : i + 1]))
-            start = i + 1
-    return comps
+    return _cut(sigma, [n + 1 - v for v in sigma.values])
 
 
 def is_layered(sigma: Permutation) -> bool:
     """True iff sigma is a direct sum of decreasing permutations.  The
     empty permutation is layered (an empty sum)."""
-    if len(sigma) == 0:
-        return True
-    return all(c.is_decreasing() for c in sum_decompose(sigma))
+    return len(sigma) == 0 or all(c.is_decreasing() for c in sum_decompose(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +437,20 @@ class Interval(NamedTuple):
     end: int
 
 
+def _interval_ends(vals: Sequence[int], a: int) -> Iterator[int]:
+    """The ends b, increasing, of the intervals vals[a..b] (0-based,
+    inclusive): a scan right from a with a running minimum and maximum."""
+    mn = mx = vals[a]
+    for b in range(a, len(vals)):
+        v = vals[b]
+        if v < mn:
+            mn = v
+        elif v > mx:
+            mx = v
+        if mx - mn == b - a:
+            yield b
+
+
 def intervals(sigma: Permutation) -> list[Interval]:
     """All intervals of length >= 1, sorted by (start, end).
 
@@ -441,29 +458,16 @@ def intervals(sigma: Permutation) -> list[Interval]:
     representation and is not listed.
     """
     vals = sigma.values
-    n = len(vals)
-    out: list[Interval] = []
-    for a in range(n):
-        mn = mx = vals[a]
-        for b in range(a, n):
-            v = vals[b]
-            if v < mn:
-                mn = v
-            elif v > mx:
-                mx = v
-            if mx - mn == b - a:
-                out.append(Interval(a + 1, b + 1))
-    return out
+    return [Interval(a + 1, b + 1) for a in range(len(vals)) for b in _interval_ends(vals, a)]
 
 
 def is_simple(sigma: Permutation) -> bool:
     """True iff sigma has no intervals besides singletons and the full
     range.  Under this raw criterion the permutations of lengths 1 and 2
-    count as simple; substitution skeletons are nevertheless required to
-    have length >= 2 (see substitution_decompose).
-    """
-    n = len(sigma)
-    return all(iv.end - iv.start + 1 in (1, n) for iv in intervals(sigma))
+    count as simple; substitution skeletons still have length >= 2."""
+    vals = sigma.values
+    n = len(vals)
+    return not any(a < b < a + n - 1 for a in range(n) for b in _interval_ends(vals, a))
 
 
 def inflate(skeleton: Permutation, components: Sequence[Permutation]) -> Permutation:
@@ -474,25 +478,19 @@ def inflate(skeleton: Permutation, components: Sequence[Permutation]) -> Permuta
     '5 6 7 1 9 8 4 2 3'
     """
     if len(components) != len(skeleton):
-        raise PermPatError(
-            f"expected {len(skeleton)} components, got {len(components)}"
-        )
+        raise PermPatError(f"expected {len(skeleton)} components, got {len(components)}")
     if any(len(c) == 0 for c in components):
         raise PermPatError("inflation components must be nonempty")
-    # Value offset of block i: total size of blocks whose skeleton entry is smaller.
-    sizes = [len(c) for c in components]
-    offsets = [0] * len(skeleton)
-    for i, si in enumerate(skeleton.values):
-        offsets[i] = sum(sizes[j] for j, sj in enumerate(skeleton.values) if sj < si)
-    vals: list[int] = []
-    for i, comp in enumerate(components):
-        vals.extend(v + offsets[i] for v in comp.values)
-    return Permutation(vals)
+    size_of = [0] * (len(skeleton) + 1)
+    for s, comp in zip(skeleton.values, components):
+        size_of[s] = len(comp)
+    below = list(accumulate(size_of))  # below[s - 1]: total size of the blocks under entry s
+    return Permutation(
+        v + below[s - 1] for s, comp in zip(skeleton.values, components) for v in comp.values
+    )
 
 
-def substitution_decompose(
-    sigma: Permutation,
-) -> tuple[Permutation, list[Permutation]]:
+def substitution_decompose(sigma: Permutation) -> tuple[Permutation, list[Permutation]]:
     """Express sigma as the inflation of a simple skeleton of length >= 2.
 
     When the skeleton would be 12 (resp. 21) the components are the full
@@ -510,25 +508,19 @@ def substitution_decompose(
     comps = skew_decompose(sigma)
     if len(comps) > 1:
         return Permutation.decreasing(len(comps)), comps
-    # Neither sum nor skew decomposable: the maximal proper intervals are
-    # pairwise disjoint and partition the positions; the quotient is simple.
-    n = len(sigma)
-    proper = [iv for iv in intervals(sigma) if iv.end - iv.start + 1 < n]
-    maximal = [
-        iv
-        for iv in proper
-        if not any(
-            (jv.start <= iv.start and iv.end <= jv.end and jv != iv) for jv in proper
-        )
-    ]
-    maximal.sort()
-    if [p for iv in maximal for p in range(iv.start, iv.end + 1)] != list(
-        range(1, n + 1)
-    ):
-        raise PermPatError(f"internal error: interval blocks do not partition {sigma}")
-    blocks = [sigma.values[iv.start - 1 : iv.end] for iv in maximal]
-    skeleton = reduce_word([b[0] if len(b) == 1 else min(b) for b in blocks])
-    components = [reduce_word(b) for b in blocks]
+    # Neither sum nor skew decomposable: the maximal proper intervals
+    # partition the positions, so each block is the longest proper interval
+    # from its start, and the next block starts after it.
+    vals = sigma.values
+    n = len(vals)
+    blocks = []
+    a = 0
+    while a < n:
+        end = max(b for b in _interval_ends(vals, a) if b - a < n - 1)
+        blocks.append(vals[a : end + 1])
+        a = end + 1
+    skeleton = reduce_word([min(block) for block in blocks])
+    components = [reduce_word(block) for block in blocks]
     if not is_simple(skeleton):
         raise PermPatError(f"internal error: skeleton {skeleton} not simple")
     return skeleton, components
@@ -550,23 +542,15 @@ def extremal(sigma: Permutation, kind: str) -> list[int]:
     if kind not in EXTREMAL_KINDS:
         raise PermPatError(f"unknown extremal kind {kind!r}; expected one of {EXTREMAL_KINDS}")
     vals = sigma.values
-    n = len(vals)
+    step = 1 if kind.startswith("lr") else -1
+    sign = 1 if kind.endswith("max") else -1
+    best = -len(vals) - 1
     out: list[int] = []
-    if kind.startswith("lr"):
-        best: int | None = None
-        for i, v in enumerate(vals):
-            if best is None or (v > best if kind == "lr-max" else v < best):
-                best = v
-                out.append(i + 1)
-    else:
-        best = None
-        for i in range(n - 1, -1, -1):
-            v = vals[i]
-            if best is None or (v > best if kind == "rl-max" else v < best):
-                best = v
-                out.append(i + 1)
-        out.reverse()
-    return out
+    for i in range(len(vals))[::step]:
+        if sign * vals[i] > best:
+            best = sign * vals[i]
+            out.append(i + 1)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ than a silent default.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from itertools import permutations as _all_perms
 from math import factorial
 from typing import Callable
@@ -34,14 +35,14 @@ def des(sigma: Permutation) -> int:
 
 
 def inv(sigma: Permutation) -> int:
-    """Number of inversions: pairs i < j with sigma(i) > sigma(j)."""
-    vals = sigma.values
-    return sum(
-        1
-        for i in range(len(vals))
-        for j in range(i + 1, len(vals))
-        if vals[i] > vals[j]
-    )
+    """Number of inversions: pairs i < j with sigma(i) > sigma(j), counted
+    right to left, each value against the sorted values after it."""
+    later: list[int] = []
+    count = 0
+    for v in reversed(sigma.values):
+        count += bisect_left(later, v)
+        insort(later, v)
+    return count
 
 
 def exc(sigma: Permutation) -> int:

@@ -85,3 +85,21 @@ def vincular_occurrences_direct(host, pattern: Permutation, adjacent: set[int]):
         for occ in brute_occurrences(host, pattern)
         if all(occ[i] == occ[i - 1] + 1 for i in adjacent)
     ]
+
+
+def brute_is_simple(sigma: Permutation) -> bool:
+    """By definition: no index range of length 2..n-1 holds a contiguous
+    set of values."""
+    vals = sigma.values
+    n = len(vals)
+    return not any(
+        max(vals[a : a + length]) - min(vals[a : a + length]) == length - 1
+        for length in range(2, n)
+        for a in range(n - length + 1)
+    )
+
+
+def pair_inversions(sigma: Permutation) -> int:
+    """Inversions by testing every pair of positions."""
+    vals = sigma.values
+    return sum(vals[i] > vals[j] for i, j in combinations(range(len(vals)), 2))

@@ -25,6 +25,7 @@ from permpat import (
     find_occurrence,
     inflate,
     intervals,
+    is_simple,
     mesh_occurrences,
     occurrences,
     skew_decompose,
@@ -39,6 +40,7 @@ from oracles import (
     brute_class_counts,
     brute_class_members,
     brute_contains,
+    brute_is_simple,
     contained_patterns,
     reduce_tuple,
     vincular_occurrences_direct,
@@ -88,11 +90,17 @@ def check_sum_skew_roundtrip(max_n: int = 9) -> None:
 
 
 def check_substitution_roundtrip(max_n: int = 8) -> None:
+    """The decomposition inflates back to sigma, every skeleton of length
+    >= 4 is simple unless it is the monotone skeleton of a sum or skew
+    decomposition, and `is_simple` agrees with the definition."""
     for n in range(2, max_n + 1):
         for sigma in all_perms(n):
             skeleton, comps = substitution_decompose(sigma)
             assert len(skeleton) >= 2
             assert inflate(skeleton, comps) == sigma
+            monotone = skeleton.is_increasing() or skeleton.is_decreasing()
+            assert len(skeleton) < 4 or monotone or brute_is_simple(skeleton), sigma
+            assert is_simple(sigma) == brute_is_simple(sigma), sigma
 
 
 def check_not_both_decomposable(max_n: int = 8) -> None:

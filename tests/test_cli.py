@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from permpat import cli, parse
 from permpat.classes import BUDGET_ENV_VAR
@@ -297,6 +297,7 @@ class TestExitCodes:
         '{"perm":[1,2],"barred":5}',
         '{"perm":[1],"shaded":[[1]]}',
         '{"perm":[1,2],"barred":[1.5]}',
+        pytest.param('{"perm":' + "[" * 5000 + "]" * 5000 + "}", id="nested-5000-deep"),
     ])
     def test_malformed_pattern_json_is_1(self, capsys, doc):
         code, out, err = run(capsys, "match", doc, "12")
@@ -360,13 +361,32 @@ class TestExitCodes:
             assert capsys.readouterr().out
 
 
-@settings(max_examples=150, deadline=None,
+# Each entry puts the fuzzed text in one argument: a basis, a pattern (as
+# text and inside JSON) or a host.
+FUZZED_ARGV = [
+    lambda s: ["enumerate", s, "--n", "4"],
+    lambda s: ["wilf", s, "12", "--n", "4"],
+    lambda s: ["match", s, "2413"],
+    lambda s: ["match", '{"perm":[' + s + "]}", "2413"],
+    lambda s: ["contains", s, "12"],
+    lambda s: ["match", "21", s],
+    lambda s: ["decompose", "substitution", s],
+    lambda s: ["simple", s],
+    lambda s: ["intervals", s],
+]
+
+
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(basis=st.text(alphabet="0123456789, -.x∅", max_size=10), wilf=st.booleans())
-def test_basis_argument_fuzz(capsys, basis, wilf):
-    argv = ["wilf", basis, "12"] if wilf else ["enumerate", basis]
+@given(text=st.text(alphabet="0123456789, -.x∅`{[_+²١", max_size=10),
+       template=st.sampled_from(FUZZED_ARGV))
+@example(text="2²-1", template=FUZZED_ARGV[2])
+@example(text="2²`1", template=FUZZED_ARGV[2])
+@example(text="1_0 3 7", template=FUZZED_ARGV[7])
+@example(text="١٢", template=FUZZED_ARGV[4])
+def test_basis_argument_fuzz(capsys, text, template):
     try:
-        code = cli.main([*argv, "--n", "4"])
+        code = cli.main(template(text))
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
     out, err = capsys.readouterr()

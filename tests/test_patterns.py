@@ -235,6 +235,15 @@ class TestParsePattern:
         with pytest.raises(PatternSyntaxError):
             parse_pattern("")
 
+    @pytest.mark.parametrize("text", ["2²-1", "2²`1", "2-١", "١`2", "0-1"])
+    def test_only_ascii_digits_1_to_9(self, text):
+        with pytest.raises(PatternSyntaxError, match="expected a digit 1-9"):
+            parse_pattern(text)
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(PatternSyntaxError, match="nested too deeply"):
+            parse_pattern('{"perm":' + "[" * 5000 + "]" * 5000 + "}")
+
 
 class TestSmallProperties:
     def test_mesh_classical_consistency_small(self):

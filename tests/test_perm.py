@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from permpat import (
@@ -64,6 +66,11 @@ class TestParse:
     def test_out_of_range_named(self):
         with pytest.raises(MalformedPermutationError, match="5"):
             parse("1 2 5")
+
+    @pytest.mark.parametrize("text", ["1_0 3 7", "+3 1", "١٢", "1²", "3\u30001 2"])
+    def test_only_ascii_digits(self, text):
+        with pytest.raises(MalformedPermutationError, match="only ASCII digits"):
+            parse(text)
 
     def test_round_trip(self):
         for text in ["314592687", "1", ""]:
@@ -196,6 +203,7 @@ class TestSimple:
         assert not is_simple(P("132"))  # positions 2-3 hold values {3, 2}
         assert is_simple(P("12"))
         assert is_simple(P("1"))
+        assert not is_simple(Permutation.identity(2000))
 
 
 class TestInflate:
@@ -227,6 +235,20 @@ class TestSubstitution:
     def test_simple_input(self):
         assert substitution_decompose(P("2413")) == (P("2413"), [P("1")] * 4)
 
+    @pytest.mark.parametrize("skeleton", ["2413", "3142", "24153", "35142"])
+    @pytest.mark.parametrize("runs", [False, True], ids=["random", "increasing-runs"])
+    def test_inflation_of_simple_skeleton_is_unique(self, skeleton, runs):
+        rng = random.Random(skeleton)
+        skeleton = P(skeleton)
+        for n in (400, 2000):
+            sizes = [n // len(skeleton)] * len(skeleton)
+            sizes[0] += n - sum(sizes)
+            comps = [
+                Permutation.identity(k) if runs else Permutation(rng.sample(range(1, k + 1), k))
+                for k in sizes
+            ]
+            assert substitution_decompose(inflate(skeleton, comps)) == (skeleton, comps)
+
     def test_short_input_errors(self):
         with pytest.raises(PermPatError, match="not an inflation"):
             substitution_decompose(P("1"))
@@ -250,6 +272,19 @@ class TestExtremal:
         for kind in ("lr-max", "lr-min", "rl-max", "rl-min"):
             positions = extremal(self.EX14, kind)
             assert positions == sorted(positions)
+
+    def test_matches_definition(self):
+        for n in range(7):
+            for sigma in all_perms(n):
+                v = sigma.values
+                records = {
+                    "lr-max": lambda i: all(v[i] > u for u in v[:i]),
+                    "lr-min": lambda i: all(v[i] < u for u in v[:i]),
+                    "rl-max": lambda i: all(v[i] > u for u in v[i + 1 :]),
+                    "rl-min": lambda i: all(v[i] < u for u in v[i + 1 :]),
+                }
+                for kind, is_record in records.items():
+                    assert extremal(sigma, kind) == [i + 1 for i in range(n) if is_record(i)]
 
     def test_unknown_kind(self):
         with pytest.raises(PermPatError):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations as all_words
 from math import factorial
 
@@ -14,6 +15,8 @@ from permpat import (
     parse,
     statistic,
 )
+
+from oracles import pair_inversions
 
 EX9 = parse("314592687")
 
@@ -40,6 +43,12 @@ class TestStatisticValues:
     def test_inv(self):
         assert statistic("inv", parse("21")) == 1
         assert statistic("inv", Permutation.identity(5)) == 0
+
+    def test_inv_against_pair_count(self):
+        rng = random.Random(11)
+        for n in [*range(9), *rng.choices(range(9, 301), k=40), 300]:
+            sigma = Permutation(rng.sample(range(1, n + 1), n))
+            assert statistic("inv", sigma) == pair_inversions(sigma), sigma
 
     def test_empty_permutation(self):
         for name in ("des", "inv", "exc", "maj"):
