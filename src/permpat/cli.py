@@ -60,7 +60,7 @@ def _cmd_contains(args) -> Result:
 def _cmd_occurrences(args) -> Result:
     occs = perm.occurrences(perm.parse(args.host), perm.parse(args.pattern))
     return (
-        {"count": len(occs), "occurrences": [list(o) for o in occs]},
+        {"count": len(occs), "occurrences": occs},
         [" ".join(map(str, o)) for o in occs] or ["(none)"],
     )
 
@@ -174,13 +174,11 @@ def _cmd_match(args) -> Result:
     for host in hosts:
         if isinstance(pattern, perm.Permutation):
             occs = perm.occurrences(host, pattern)
-            entry = {"kind": "classical", "count": len(occs),
-                     "occurrences": [list(o) for o in occs]}
+            entry = {"kind": "classical", "count": len(occs), "occurrences": occs}
             lines.append(f"{host}: count {len(occs)}")
         elif isinstance(pattern, patterns.MeshPattern):
             occs = patterns.mesh_occurrences(host, pattern)
-            entry = {"kind": "mesh", "count": len(occs),
-                     "occurrences": [list(o) for o in occs]}
+            entry = {"kind": "mesh", "count": len(occs), "occurrences": occs}
             lines.append(f"{host}: count {len(occs)}")
         elif isinstance(pattern, patterns.BarredPattern):
             found = patterns.barred_contains(host, pattern)

@@ -9,7 +9,9 @@ rectangle between matched positions i, i+1 and matched values of ranks
 j, j+1 (with sentinels 0 and n+1 on both axes).
 
 Vincular and bivincular patterns compile to mesh patterns (full columns,
-resp. full rows).  Barred patterns use a separate two-phase matcher.
+resp. full rows).  A barred pattern is matched from two kernels of `perm`:
+the stream of its effective pattern's occurrences, and the search of the
+barred slots with the unbarred ones fixed at such an occurrence.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import PatternSyntaxError, PermPatError
-from .perm import Permutation, occurrences, reduce_word
+from .perm import Permutation, _kernel, occurrences, reduce_word
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,14 @@ Pattern = Union[Permutation, MeshPattern, VincularPattern, BivincularPattern, Ba
 
 def mesh_occurrences(host: Permutation, mp: MeshPattern) -> list[tuple[int, ...]]:
     """Classical occurrences of the pattern whose shaded regions contain no
-    host point, sorted by index tuple (1-based)."""
+    host point, sorted by index tuple (1-based).
+
+    Shading the cell (1, 0) under and between the two entries of 12 asks
+    that no smaller value lie between them:
+
+    >>> mesh_occurrences(Permutation([2, 4, 1, 3]), MeshPattern(Permutation([1, 2]), {(1, 0)}))
+    [(1, 2), (3, 4)]
+    """
     n = len(host)
     host_vals = host.values
     shaded = sorted(mp.shaded)
@@ -180,16 +189,27 @@ def barred_contains(host: Permutation, bp: BarredPattern) -> bool:
     """True iff some occurrence of the effective pattern is not part of an
     occurrence of the whole pattern, i.e. no full occurrence restricts to
     it at the unbarred positions.  Avoidance therefore means every
-    effective-pattern occurrence extends to a full one."""
-    eff_occs = occurrences(host, bp.effective)
-    if not eff_occs:
-        return False
-    unbarred = bp.unbarred_positions
-    extendable = {
-        tuple(full[i - 1] for i in unbarred)
-        for full in occurrences(host, bp.pattern)
-    }
-    return any(occ not in extendable for occ in eff_occs)
+    effective-pattern occurrence extends to a full one.
+
+    The effective occurrences are streamed in lexicographic order, and for
+    each one only the barred slots are searched, in the host segments
+    between its points; the first that does not extend answers True.
+    Besides one copy of the host, the memory used is O(k) for a pattern of
+    length k.
+
+    In 53`21`4 the effective pattern is 312.  In 53214 its occurrence
+    (1, 2, 5) leaves no room for the barred 3 between its first two points,
+    so it does not extend; 123456 has no 312 at all:
+
+    >>> bp = parse_pattern("53`21`4")
+    >>> barred_contains(Permutation([5, 3, 2, 1, 4]), bp)
+    True
+    >>> barred_contains(Permutation.identity(6), bp)
+    False
+    """
+    h = host.values
+    extends = _kernel(bp.pattern.values, "extend", tuple(sorted(bp.barred)))
+    return any(not extends(h, *occ) for occ in _kernel(bp.effective.values, "each")(h))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +240,21 @@ def _json_list(doc: dict, key: str, cells: bool = False) -> list:
     return value
 
 
+# The fields that make a JSON pattern each kind; one document holds at most
+# one kind's fields.
+_JSON_KINDS = ({"shaded"}, {"adjacent_positions", "adjacent_values"}, {"barred"})
+
+
 def _pattern_from_json(doc: dict) -> Pattern:
     if "perm" not in doc:
         raise PatternSyntaxError("pattern JSON needs a 'perm' field", 0)
+    unknown = sorted(doc.keys() - {"perm"}.union(*_JSON_KINDS))
+    if unknown:
+        raise PatternSyntaxError(f"pattern JSON has an unknown field {unknown[0]!r}", 0)
+    if sum(1 for kind in _JSON_KINDS if kind & doc.keys()) > 1:
+        raise PatternSyntaxError(
+            "pattern JSON mixes the fields of two kinds: 'shaded', the 'adjacent_*' "
+            "pair and 'barred' each make one", 0)
     perm = Permutation(_json_list(doc, "perm"))
     if "shaded" in doc:
         return MeshPattern(perm, _json_list(doc, "shaded", cells=True))

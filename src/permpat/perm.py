@@ -7,19 +7,27 @@ they line up with the notation sigma(1)...sigma(n).  Values are accessed
 0-based via indexing, like any Python sequence.
 
 Containment has one search plan and two paths that read it.  `_plan`
-says which pattern slots a mode searches for and which host segment each
-lies in, between the anchors "g" (a gap) and "x" (a position).  "first"
-(`contains`, `find_occurrence`) and "all" (`occurrences`, and through it
-mesh and barred matching) search the whole pattern right of g = 0.
-"two-anchor", for the class enumerator, fixes a pattern's two largest
-values, the second largest at the host's maximum x and the largest at a
-new point inserted at gap g, and searches the rest in the three segments
-x and g split off, so no candidate is built to be searched.
+says which pattern slots a mode searches for, which host segment each
+lies in, between anchors such as "g" (a gap) and "x" (a position), and
+which slots it takes as fixed at given host points.  There are four modes:
+- "first" (`contains`, `find_occurrence`) searches the whole pattern right
+  of g = 0 and returns its least occurrence;
+- "each" searches the same and yields every occurrence in turn, so
+  `occurrences` lists it and barred matching streams it;
+- "two-anchor", for the class enumerator, fixes a pattern's two largest
+  values, the second largest at the host's maximum x and the largest at a
+  new point inserted at gap g, and searches the rest in the three segments
+  x and g split off, so no candidate is built to be searched;
+- "extend", for barred matching, fixes the unbarred slots at the host
+  points a0 < a1 < ... of one occurrence of the effective pattern, and
+  searches only the barred slots, in the segments between those points
+  and inside the value windows their host values leave.
 
-The fast path writes Python source with one nested `for` loop per slot,
-each testing inline the open window of host values that the earlier
-slots holding the next smaller and next larger pattern values leave it,
-compiles it once per (pattern, mode), and keeps it in a
+The fast path writes Python source with one nested `for` loop per
+searched slot, each testing inline the open window of host values that
+the fixed or earlier slots holding the next smaller and next larger
+pattern values leave it, compiles it once per (pattern, mode, barred
+slots), and keeps it in a
 `functools.lru_cache` of 1024 entries.  CPython compiles at most 20
 nested loops; longer plans take `_stack_search`, an iterative search with
 an explicit stack that returns what the compiled kernel returns at any
@@ -185,30 +193,62 @@ def _bounds(pat: Sequence[int]) -> tuple[list[int], list[int]]:
     return below_ref, above_ref
 
 
-def _plan(pat: tuple[int, ...], mode: str) -> tuple[tuple[int, ...], tuple]:
-    """The slots a mode searches for, in pattern order, and the host
-    segments they fall in: (slot count, start, end), each bound an anchor
-    ("0", "g", "x" or the host length "m") plus an offset, the end
-    exclusive.  "first" and "all" search pat whole, right of the gap g.
+def _plan(pat: tuple[int, ...], mode: str,
+          bars: tuple[int, ...] = ()) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The slots a mode searches for, in pattern order, the host segments
+    they fall in, and the slots it takes as fixed.  A segment is (slot
+    count, start, end), each bound an anchor ("0", "g", "x", "a0", "a1",
+    ... or the host length "m") plus an offset, the end exclusive.  A fixed
+    slot is (pattern value, anchor): the host point at that 1-based
+    position holds it, and it bounds the value windows like an earlier
+    slot.  "first" and "each" search pat whole, right of the gap g.
     "two-anchor" searches pat minus its two largest values: the second
     largest is the host's point at position x, the largest a new point at
     gap g, and the other slots fall in the three segments they split off.
-    A segment after the point at x starts at x + 1; one after g at g."""
+    A segment after the point at x starts at x + 1; one after g at g.
+    "extend" fixes pat's unbarred slots (those not in the 1-based `bars`)
+    at the points a0 < a1 < ... and searches the barred slots in the
+    segments between them: one after a_i starts at a_i, one before ends
+    at a_i - 1."""
+    if mode == "extend":
+        segments, fixed = [], []
+        count, start = 0, ("0", 0)
+        for i, v in enumerate(pat, 1):
+            if i in bars:
+                count += 1
+                continue
+            anchor = f"a{len(fixed)}"
+            if count:
+                segments.append((count, start, (anchor, -1)))
+            fixed.append((v, anchor))
+            count, start = 0, (anchor, 0)
+        if count:
+            segments.append((count, start, ("m", 0)))
+        return tuple(pat[i - 1] for i in bars), tuple(segments), tuple(fixed)
     if mode != "two-anchor":
-        return pat, ((len(pat), ("g", 0), ("m", 0)),)
+        return pat, ((len(pat), ("g", 0), ("m", 0)),), ()
     k = len(pat)
     (q, a, da), (r, b, db) = sorted([(pat.index(k - 1), "x", 1), (pat.index(k), "g", 0)])
     segments = ((q, ("0", 0), (a, 0)), (r - q - 1, (a, da), (b, 0)), (k - r - 1, (b, db), ("m", 0)))
-    return tuple(v for v in pat if v < k - 1), segments
+    return tuple(v for v in pat if v < k - 1), segments, ()
+
+
+def _anchors(segments: tuple, fixed: tuple) -> list[str]:
+    """A plan's anchors, in the order the kernel takes them after h: g
+    before x, and a0, a1, ..., a10 in numeric order."""
+    names = {v for _, (s, _), (e, _) in segments for v in (s, e)} | {a for _, a in fixed}
+    return sorted(names - {"0", "m"}, key=lambda a: (len(a), a))
 
 
 # Per mode: the statement a compiled kernel runs on an occurrence (given as
 # a 1-based tuple), the value it returns when there is none, and how the
 # stack path turns its stream of 1-based occurrences into the same result.
+_EXISTS = ("return True", "False", lambda occs: next(occs, None) is not None)
 _RESULTS: dict[str, tuple[str, str, Callable]] = {
     "first": ("return {}", "None", lambda occs: next(occs, None)),
-    "all": ("add({})", "out", list),
-    "two-anchor": ("return True", "False", lambda occs: next(occs, None) is not None),
+    "each": ("yield {}", "None", lambda occs: occs),
+    "two-anchor": _EXISTS,
+    "extend": _EXISTS,
 }
 
 
@@ -216,39 +256,42 @@ def _offset(name: str, c: int) -> str:
     return name if c == 0 else f"{name} + {c}" if c > 0 else f"{name} - {-c}"
 
 
-def _source(pat: tuple[int, ...], mode: str) -> str:
+def _source(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> str:
     """Python source of `kernel(h, <anchors>=0)`: one nested `for` loop per
-    slot of `_plan(pat, mode)`, the value-window tests inlined, the first
-    slot of each segment starting at the segment's start.  A segment too
-    short for its slots, or one between the two anchors that they invert,
-    returns at once.  "all" pads the host with a leading 0, so its loop
-    variables are the 1-based positions it lists."""
-    slots, segments = _plan(pat, mode)
+    searched slot of `_plan(pat, mode, bars)`, the value-window tests
+    inlined, the first slot of each segment starting at the segment's
+    start.  A segment too short for its slots, or one between the two
+    anchors that they invert, returns at once.  Variables are numbered
+    fixed slots first, so the fixed slots' values v0, v1, ... are read
+    once, before the loops.  "each" pads the host with a leading 0, so its
+    loop variables are the 1-based positions it yields."""
+    slots, segments, fixed = _plan(pat, mode, bars)
     found, missing, _ = _RESULTS[mode]
-    k = len(slots)
-    below, above = _bounds(slots)
-    read_later = set(below) | set(above)
-    anchors = sorted({v for _, (s, _), (e, _) in segments for v in (s, e)} - {"0", "m"})
-    lines = [f"def kernel(h, {', '.join(a + '=0' for a in anchors)}):", "    m = len(h)"]
+    f = len(fixed)
+    k = f + len(slots)
+    below, above = _bounds(tuple(v for v, _ in fixed) + slots)
+    read_later = set(below[f:]) | set(above[f:])
+    lines = [f"def kernel(h, {', '.join(a + '=0' for a in _anchors(segments, fixed))}):", "    m = len(h)"]
     base = 0
-    if mode == "all":
+    if mode == "each":
         base = 1
-        lines += ["    h = (0, *h)", "    out = []", "    add = out.append"]
-    comma = "," if k == 1 else ""
-    occ = f"({', '.join(_offset(f'p{t}', 1 - base) for t in range(k))}{comma})"
+        lines += ["    h = (0, *h)"]
+    comma = "," if k - f == 1 else ""
+    occ = f"({', '.join(_offset(f'p{t}', 1 - base) for t in range(f, k))}{comma})"
     short = [f"{e if s == '0' else f'{e} - {s}'} < {c + ds - de}"
              for c, (s, ds), (e, de) in segments if c or s != "0" and e != "m"]
     if short:
         lines += [f"    if {' or '.join(short)}:", f"        return {missing}"]
+    lines += [f"    v{t} = h[{_offset(a, base - 1)}]" for t, (_, a) in enumerate(fixed) if t in read_later]
     starts: dict[int, str] = {}
     ends: list[str] = []  # exclusive end of each slot: room is left for the slots after it
     for c, (s, ds), (e, de) in segments:
         if c:
-            starts[len(ends)] = _offset(s, ds + base)
+            starts[f + len(ends)] = _offset(s, ds + base)
         ends += [_offset(e, de + base + i - c + 1) for i in range(c)]
-    lines += [f"    e{t} = {end}" for t, end in enumerate(ends)]
+    lines += [f"    e{f + t} = {end}" for t, end in enumerate(ends)]
     indent = "    "
-    for t in range(k):
+    for t in range(f, k):
         lines.append(f"{indent}for p{t} in range({starts.get(t, f'p{t - 1} + 1')}, e{t}):")
         indent += "    "
         value = f"h[p{t}]"
@@ -268,15 +311,19 @@ def _source(pat: tuple[int, ...], mode: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, g: int = 0, x: int = 0):
-    """What the compiled kernel of (pat, mode) returns for (host, g, x),
-    found by an iterative search with an explicit stack over the same plan:
-    any length works, and the recursion limit is never reached."""
-    slots, segments = _plan(pat, mode)
-    k = len(slots)
-    below, above = _bounds(slots)
+def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, *anchors: int,
+                  bars: tuple[int, ...] = ()):
+    """What the compiled kernel of (pat, mode, bars) returns for (host,
+    *anchors), found by an iterative search with an explicit stack over the
+    same plan: any length works, and the recursion limit is never
+    reached.  "each" returns the search itself, a generator."""
+    slots, segments, fixed = _plan(pat, mode, bars)
+    f = len(fixed)
+    k = f + len(slots)
+    below, above = _bounds(tuple(v for v, _ in fixed) + slots)
     n = len(host)
-    at = {"0": 0, "g": g, "x": x, "m": n}
+    names = _anchors(segments, fixed)
+    at = {"0": 0, "m": n, **dict.fromkeys(names, 0), **dict(zip(names, anchors))}
     starts: dict[int, int] = {}
     ends: list[int] = []
     short = False
@@ -284,35 +331,35 @@ def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, g: int =
         start, end = at[s] + ds, at[e] + de
         short = short or end - start < c
         if c:
-            starts[len(ends)] = start
+            starts[f + len(ends)] = start
         ends += range(end - c + 1, end + 1)
+    pos = [at[a] - 1 for _, a in fixed] + [0] * (k - f)
 
     def walk() -> Iterator[tuple[int, ...]]:
         if short:
             return
-        if k == 0:
+        if k == f:
             yield ()
             return
-        pos = [0] * k
-        t = 0
-        p = starts[0]
+        t = f
+        p = starts[f]
         while True:
             lo = host[pos[below[t]]] if below[t] >= 0 else 0
             hi = host[pos[above[t]]] if above[t] >= 0 else n + 1
-            end = ends[t]
+            end = ends[t - f]
             while p < end and not lo < host[p] < hi:
                 p += 1
             if p < end:
                 pos[t] = p
                 if t == k - 1:
-                    yield tuple(q + 1 for q in pos)
+                    yield tuple(q + 1 for q in pos[f:])
                     p += 1
                 else:
                     t += 1
                     p = starts.get(t, p + 1)
             else:
                 t -= 1
-                if t < 0:
+                if t < f:
                     return
                 p = pos[t] + 1
 
@@ -320,20 +367,23 @@ def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, g: int =
 
 
 @lru_cache(maxsize=1024)
-def _kernel(pat: tuple[int, ...], mode: str) -> Callable:
-    """The search of `_plan(pat, mode)`, built once per (pattern, mode).
-    "first" and "all" are `kernel(h, g=0)`: the least occurrence (1-based)
-    or None, and every occurrence in lexicographic order.  "two-anchor" is
-    `kernel(h, g=0, x=0)`: whether an occurrence of pat uses both h's
-    point at x, as pat's second largest value, and a new point larger than
-    all of h inserted at gap g (0-based), as its largest.  Both paths read
-    the one plan and return the same; plans of more than _MAX_LOOPS slots
-    take `_stack_search`."""
-    if len(_plan(pat, mode)[0]) <= _MAX_LOOPS:
+def _kernel(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> Callable:
+    """The search of `_plan(pat, mode, bars)`, built once per (pattern,
+    mode, bars).  "first" and "each" are `kernel(h, g=0)`: the least
+    occurrence (1-based) or None, and a generator of every occurrence in
+    lexicographic order.  "two-anchor" is `kernel(h, g=0, x=0)`: whether an
+    occurrence of pat uses both h's point at x, as pat's second largest
+    value, and a new point larger than all of h inserted at gap g
+    (0-based), as its largest.  "extend" is `kernel(h, a0, a1, ...)`:
+    whether host points can fill the barred slots `bars` (1-based, sorted)
+    of pat so that pat occurs with its other slots at the 1-based positions
+    a0 < a1 < ....  Both paths read the one plan and return the same;
+    plans of more than _MAX_LOOPS searched slots take `_stack_search`."""
+    if len(_plan(pat, mode, bars)[0]) <= _MAX_LOOPS:
         namespace: dict = {}
-        exec(compile(_source(pat, mode), f"<kernel {mode} {pat}>", "exec"), namespace)
+        exec(compile(_source(pat, mode, bars), f"<kernel {mode} {pat}>", "exec"), namespace)
         return namespace["kernel"]
-    return lambda h, g=0, x=0: _stack_search(h, pat, mode, g, x)
+    return lambda h, *anchors: _stack_search(h, pat, mode, *anchors, bars=bars)
 
 
 def contains(host: Permutation, pattern: Permutation) -> bool:
@@ -355,7 +405,7 @@ def find_occurrence(host: Permutation, pattern: Permutation) -> tuple[int, ...] 
 
 def occurrences(host: Permutation, pattern: Permutation) -> list[tuple[int, ...]]:
     """All occurrences as 1-based index tuples, sorted lexicographically."""
-    return _kernel(pattern.values, "all")(host.values)
+    return list(_kernel(pattern.values, "each")(host.values))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,26 @@ def brute_contains(host: Permutation, pattern: Permutation) -> bool:
     )
 
 
+def brute_barred_contains(host: Permutation, pattern: Permutation, barred) -> bool:
+    """Whether host contains pattern with the 1-based positions `barred`
+    barred: some index subset matching the unbarred entries is not the
+    restriction of any index subset matching the whole pattern."""
+    vals = host.values
+    target = pattern.values
+    unbarred = [i for i in range(len(target)) if i + 1 not in barred]
+    effective = reduce_tuple(tuple(target[i] for i in unbarred))
+    restrictions = {
+        tuple(idx[i] for i in unbarred)
+        for idx in combinations(range(len(vals)), len(target))
+        if reduce_tuple(tuple(vals[i] for i in idx)) == target
+    }
+    return any(
+        idx not in restrictions
+        for idx in combinations(range(len(vals)), len(unbarred))
+        if reduce_tuple(tuple(vals[i] for i in idx)) == effective
+    )
+
+
 def contained_patterns(host: Permutation, k: int) -> set[tuple[int, ...]]:
     """The set of length-k patterns contained in host, by subset reduction."""
     vals = host.values

@@ -297,6 +297,10 @@ class TestExitCodes:
         '{"perm":[1,2],"barred":5}',
         '{"perm":[1],"shaded":[[1]]}',
         '{"perm":[1,2],"barred":[1.5]}',
+        '{"perm":[1,2],"shade":[[0,0]]}',
+        '{"perm":[1,2],"shaded":[[0,0]],"barred":[1]}',
+        '{"perm":[1,2],"adjacent_positions":[1],"barred":[1]}',
+        '{"perm":[2,1],"barred":[1],"extra":1}',
         pytest.param('{"perm":' + "[" * 5000 + "]" * 5000 + "}", id="nested-5000-deep"),
     ])
     def test_malformed_pattern_json_is_1(self, capsys, doc):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from permpat import Permutation, cli, contains, find_occurrence, occurrences
 from permpat.perm import _MAX_LOOPS, _kernel, _source, _stack_search
 
-from oracles import brute_occurrences
+from oracles import brute_occurrences, reduce_tuple
 
 
 def perms(min_size: int, max_size: int):
@@ -26,7 +26,8 @@ def test_first_and_all_match_oracle(host, pattern):
     assert occurrences(host, pattern) == expected
     assert find_occurrence(host, pattern) == (expected[0] if expected else None)
     assert contains(host, pattern) == bool(expected)
-    assert _stack_search(host.values, pattern.values, "all") == expected
+    assert list(_kernel(pattern.values, "each")(host.values)) == expected
+    assert list(_stack_search(host.values, pattern.values, "each")) == expected
     assert _stack_search(host.values, pattern.values, "first") == find_occurrence(host, pattern)
 
 
@@ -52,11 +53,39 @@ def test_two_anchor_matches_oracle(parent, pattern, data):
     assert _stack_search(sigma, pattern.values, "two-anchor", g, x) == expected
 
 
+def extend_expected(host: Permutation, pattern: Permutation, bars: tuple[int, ...],
+                    occ: tuple[int, ...]) -> bool:
+    """Whether some occurrence of pattern has its unbarred slots at occ."""
+    unbarred = [i for i in range(len(pattern)) if i + 1 not in bars]
+    return any(tuple(full[i] for i in unbarred) == occ
+               for full in brute_occurrences(host, pattern))
+
+
+def effective_occurrences(host: Permutation, pattern: Permutation, bars: tuple[int, ...]):
+    effective = reduce_tuple(tuple(v for i, v in enumerate(pattern.values, 1) if i not in bars))
+    return brute_occurrences(host, Permutation(effective))
+
+
+@settings(max_examples=400, deadline=None)
+@given(host=perms(0, 8), pattern=perms(2, 6), data=st.data())
+def test_extend_matches_oracle(host, pattern, data):
+    positions = range(1, len(pattern) + 1)
+    bars = tuple(sorted(data.draw(
+        st.sets(st.sampled_from(positions), min_size=1, max_size=len(pattern) - 1), label="bars")))
+    kernel = _kernel(pattern.values, "extend", bars)
+    for occ in effective_occurrences(host, pattern, bars):
+        expected = extend_expected(host, pattern, bars, occ)
+        assert kernel(host.values, *occ) == expected, occ
+        assert _stack_search(host.values, pattern.values, "extend", *occ, bars=bars) == expected
+
+
 def test_loop_limit_is_where_compilation_ends():
     pat = tuple(range(1, _MAX_LOOPS + 1))
     compile(_source(pat, "first"), "<kernel>", "exec")
-    compile(_source(pat, "all"), "<kernel>", "exec")
+    compile(_source(pat, "each"), "<kernel>", "exec")
     compile(_source(pat + (_MAX_LOOPS + 1, _MAX_LOOPS + 2), "two-anchor"), "<kernel>", "exec")
+    compile(_source(pat + (_MAX_LOOPS + 1,), "extend", tuple(range(1, _MAX_LOOPS + 1))),
+            "<kernel>", "exec")
 
 
 def test_patterns_beyond_the_loop_limit():
@@ -66,6 +95,24 @@ def test_patterns_beyond_the_loop_limit():
     expected = brute_occurrences(host, pattern)
     assert occurrences(host, pattern) == expected
     assert find_occurrence(host, pattern) == expected[0]
+    stream = _kernel(pat, "each")(host.values)
+    assert next(stream) == expected[0] and list(stream) == expected[1:]
+
+
+def test_extend_beyond_the_loop_limit():
+    # _MAX_LOOPS + 1 barred slots around three unbarred ones, the middle
+    # one out of order so the fixed values bound the barred windows
+    k = _MAX_LOOPS + 4
+    pat = tuple(range(1, k // 2)) + (k,) + tuple(range(k // 2, k))
+    unbarred = (1, k // 2, k)
+    bars = tuple(i for i in range(1, k + 1) if i not in unbarred)
+    pattern = Permutation(pat)
+    host = Permutation((2, 1) + tuple(v + 2 for v in pat))
+    kernel = _kernel(pat, "extend", bars)
+    occs = effective_occurrences(host, pattern, bars)
+    results = [kernel(host.values, *occ) for occ in occs]
+    assert results == [extend_expected(host, pattern, bars, occ) for occ in occs]
+    assert True in results and False in results
 
 
 def test_two_anchor_beyond_the_loop_limit():

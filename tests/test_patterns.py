@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permpat import (
     BarredPattern,
@@ -20,7 +21,7 @@ from permpat import (
     vincular_count,
 )
 
-from oracles import all_perms, brute_occurrences, vincular_occurrences_direct
+from oracles import all_perms, brute_barred_contains, brute_occurrences, vincular_occurrences_direct
 
 import prop_checks
 
@@ -190,6 +191,26 @@ class TestBarred:
                     for occ in brute_occurrences(host, bp.effective)
                 )
                 assert barred_contains(host, bp) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_definition_on_random_patterns(self, data):
+        k = data.draw(st.integers(2, 6), label="k")
+        pattern = Permutation(data.draw(st.permutations(range(1, k + 1)), label="pattern"))
+        bars = data.draw(st.sets(st.integers(1, k), min_size=1, max_size=k - 1), label="bars")
+        n = data.draw(st.integers(0, 8), label="n")
+        host = Permutation(data.draw(st.permutations(range(1, n + 1)), label="host"))
+        expected = brute_barred_contains(host, pattern, bars)
+        assert barred_contains(host, BarredPattern(pattern, frozenset(bars))) == expected
+
+    def test_thousand_entry_hosts(self):
+        # 3`12: a 12 not extended by a larger entry to its left.  In the
+        # host 1000, 1, 2, ..., 999 the leading 1000 extends every one of
+        # the ~500,000 occurrences of 12; moving 1000 to the end leaves the
+        # occurrence (1, 2) with nothing to its left.
+        bp = parse_pattern("3`12")
+        assert not barred_contains(Permutation([1000, *range(1, 1000)]), bp)
+        assert barred_contains(Permutation([*range(1, 1000), 1000]), bp)
 
     def test_validation(self):
         with pytest.raises(PermPatError):
