@@ -231,7 +231,9 @@ class GrowthEstimate:
     """Finite-prefix proxies for the upper/lower growth rates.
 
     values[n] = counts[n] ** (1/n) for n >= 1 (None at n = 0 and where the
-    count is 0).  upper/lower are the max/min over the trailing window.
+    count is 0).  upper/lower are the max/min over the trailing window,
+    whose length `window` is the one asked for, or the whole prefix's
+    when that is shorter.
     These are estimates of limsup/liminf computed from a prefix, never
     claimed as limits; `diverging` marks the class of all permutations,
     the one class whose growth is super-exponential.
@@ -256,6 +258,7 @@ def growth_estimates(enum: ClassEnumeration, window: int = 1) -> GrowthEstimate:
         c = counts[n]
         values.append(math.exp(math.log(c) / n) if c > 0 else None)
     diverging = len(enum.basis.patterns) == 0
+    window = min(window, len(counts) - 1)  # a truncated prefix has fewer terms
     if counts[-1] == 0:
         return GrowthEstimate(values, 0.0, 0.0, diverging, True, window)
     tail = [v for v in values[-window:] if v is not None]

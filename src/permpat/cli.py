@@ -231,8 +231,10 @@ def _cmd_enumerate(args) -> Result:
 
 
 def _cmd_growth(args) -> Result:
+    if args.window is not None and args.window > args.n:
+        raise PermPatError(f"--window {args.window} is longer than the prefix (--n {args.n})")
     _, enum = _enumerate_from_args(args)
-    est = classes.growth_estimates(enum, window=args.window)
+    est = classes.growth_estimates(enum, window=3 if args.window is None else args.window)
     payload = {
         "values": est.values,
         "lower": est.lower,
@@ -419,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"stored-permutation budget (default {classes.DEFAULT_BUDGET}, "
                        f"or ${classes.BUDGET_ENV_VAR})")
         if window:
-            p.add_argument("--window", type=int, default=3)
+            p.add_argument("--window", type=int, default=None,
+                           help="trailing lengths the bounds are taken over (default 3, "
+                           "or all of a shorter prefix)")
 
     p = add("enumerate", _cmd_enumerate, "enumerate Av(B) by length")
     p.add_argument("basis", help='comma-separated patterns, e.g. "123,132"; empty for all permutations')

@@ -33,6 +33,22 @@ nested loops; longer plans take `_stack_search`, an iterative search with
 an explicit stack that returns what the compiled kernel returns at any
 length and cannot hit the recursion limit.
 
+"first" has two guards, necessary tests that cut searches holding no
+occurrence.  A host must have an increasing and a decreasing subsequence
+as long as the pattern's longest ones; patience sorting on at most that
+many piles checks it in one O(n log k) scan that stops as soon as the
+piles fill.  And a slot with a smaller (larger) pattern value after it
+must take a host point with a smaller (larger) value after it, tested
+against suffix minima and maxima.  Both cost O(n), more than most
+positive searches, so a compiled search starts with arrays every point
+passes and a budget of _FIRST_BUDGET loop steps per host entry.  Only a
+search that spends it builds the arrays (ones no point passes if the
+runs are missing) and switches them in.  If the slots it has placed
+pass them, it carries on where it stands; else it starts again from its
+first point, as no occurrence starts earlier.  Either way the search
+order is unchanged, so the least occurrence is the one found, and the
+work repeated is bounded by the budget.
+
 The structural half is one scan per decomposition: `_cut` for the sum and
 skew components, and `_interval_ends`, the intervals from one start by a
 running min/max scan, behind `intervals`, `is_simple` (first proper one)
@@ -45,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedPermutationError, PermPatError
@@ -193,15 +209,72 @@ def _bounds(pat: Sequence[int]) -> tuple[list[int], list[int]]:
     return below_ref, above_ref
 
 
+def _monotone_run(seq: Iterable[int], sign: int, cap: int) -> int:
+    """The length of seq's longest increasing (sign 1) or decreasing (sign
+    -1) subsequence, or cap if that is less: patience sorting on at most
+    cap piles, stopping as soon as they fill.  O(n log cap) time."""
+    piles: list[int] = []  # piles[i]: the least last value (times sign) of a run of i + 1
+    for v in seq:
+        v *= sign
+        i = bisect_left(piles, v)
+        if i < len(piles):
+            piles[i] = v
+        elif i + 1 < cap:
+            piles.append(v)
+        else:
+            return cap
+    return len(piles)
+
+
+def _has_runs(h: Sequence[int], g: int, runs: tuple[int, int]) -> bool:
+    """Whether h right of gap g has an increasing subsequence of runs[0]
+    entries and a decreasing one of runs[1]."""
+    return all(_monotone_run(islice(h, g, None), sign, r) == r for sign, r in zip((1, -1), runs))
+
+
+# Loop steps per host entry a compiled "first" search spends before it
+# switches its guards on.  Building them costs about two steps per entry.
+_FIRST_BUDGET = 16
+
+
+def _guards(h: Sequence[int], g: int, runs: tuple[int, int]) -> tuple:
+    """The guard arrays of a "first" search right of gap g in h, and the
+    steps it has left, unbounded: the suffix minima and maxima (see
+    `_after`), or arrays no point passes when h right of g lacks the
+    pattern's monotone runs and so avoids it."""
+    m = len(h)
+    mins, maxs = _after(h) if _has_runs(h, g, runs) else (range(m + 1, 2 * m + 1), range(-m, 0))
+    return mins, maxs, float("inf")
+
+
+def _after(h: Sequence[int]) -> tuple[list[int], list[int]]:
+    """mins[p] and maxs[p]: the least and the greatest value of h after
+    position p (0-based); len(h) + 1 and 0 after the last position.  One
+    plain loop: `accumulate` with `min` and `max` takes six times longer."""
+    lo, hi = len(h) + 1, 0
+    mins: list[int] = []
+    maxs: list[int] = []
+    for v in reversed(h):
+        mins.append(lo)
+        maxs.append(hi)
+        if v < lo:
+            lo = v
+        if v > hi:
+            hi = v
+    mins.reverse()
+    maxs.reverse()
+    return mins, maxs
+
+
 def _plan(pat: tuple[int, ...], mode: str,
-          bars: tuple[int, ...] = ()) -> tuple[tuple[int, ...], tuple, tuple]:
+          bars: tuple[int, ...] = ()) -> tuple[tuple[int, ...], tuple, tuple, tuple, tuple]:
     """The slots a mode searches for, in pattern order, the host segments
-    they fall in, and the slots it takes as fixed.  A segment is (slot
-    count, start, end), each bound an anchor ("0", "g", "x", "a0", "a1",
-    ... or the host length "m") plus an offset, the end exclusive.  A fixed
-    slot is (pattern value, anchor): the host point at that 1-based
-    position holds it, and it bounds the value windows like an earlier
-    slot.  "first" and "each" search pat whole, right of the gap g.
+    they fall in, the slots it takes as fixed, and the guards of "first".
+    A segment is (slot count, start, end), each bound an anchor ("0", "g",
+    "x", "a0", "a1", ... or the host length "m") plus an offset, the end
+    exclusive.  A fixed slot is (pattern value, anchor): the host point at
+    that 1-based position holds it, and it bounds the value windows like
+    an earlier slot.  "first" and "each" search pat whole, right of the gap g.
     "two-anchor" searches pat minus its two largest values: the second
     largest is the host's point at position x, the largest a new point at
     gap g, and the other slots fall in the three segments they split off.
@@ -209,7 +282,16 @@ def _plan(pat: tuple[int, ...], mode: str,
     "extend" fixes pat's unbarred slots (those not in the 1-based `bars`)
     at the points a0 < a1 < ... and searches the barred slots in the
     segments between them: one after a_i starts at a_i, one before ends
-    at a_i - 1."""
+    at a_i - 1.
+
+    Only "first" has guards, two necessary tests.  `runs` is pat's longest
+    increasing and decreasing run: a host right of g without runs that
+    long avoids pat.  `ahead` says, per slot, whether a later slot holds
+    a smaller value and whether one holds a larger: the host must then
+    hold a smaller (larger) value after the slot's point.  The slot before
+    the last is not guarded unless it is the first: its guard would be
+    tested once per entry to the last loop, which finds the same at a
+    cost only when it fails."""
     if mode == "extend":
         segments, fixed = [], []
         count, start = 0, ("0", 0)
@@ -224,13 +306,20 @@ def _plan(pat: tuple[int, ...], mode: str,
             count, start = 0, (anchor, 0)
         if count:
             segments.append((count, start, ("m", 0)))
-        return tuple(pat[i - 1] for i in bars), tuple(segments), tuple(fixed)
-    if mode != "two-anchor":
-        return pat, ((len(pat), ("g", 0), ("m", 0)),), ()
+        return tuple(pat[i - 1] for i in bars), tuple(segments), tuple(fixed), (), ()
     k = len(pat)
+    if mode == "each":
+        return pat, ((k, ("g", 0), ("m", 0)),), (), (), ()
+    if mode == "first":
+        mins, maxs = _after(pat)
+        ahead = [(a < v, v < b) for a, v, b in zip(mins, pat, maxs)]
+        if k > 2:
+            ahead[k - 2] = (False, False)
+        runs = (_monotone_run(pat, 1, k), _monotone_run(pat, -1, k))
+        return pat, ((k, ("g", 0), ("m", 0)),), (), runs, tuple(ahead)
     (q, a, da), (r, b, db) = sorted([(pat.index(k - 1), "x", 1), (pat.index(k), "g", 0)])
     segments = ((q, ("0", 0), (a, 0)), (r - q - 1, (a, da), (b, 0)), (k - r - 1, (b, db), ("m", 0)))
-    return tuple(v for v in pat if v < k - 1), segments, ()
+    return tuple(v for v in pat if v < k - 1), segments, (), (), ()
 
 
 def _anchors(segments: tuple, fixed: tuple) -> list[str]:
@@ -264,14 +353,26 @@ def _source(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> str:
     anchors that they invert, returns at once.  Variables are numbered
     fixed slots first, so the fixed slots' values v0, v1, ... are read
     once, before the loops.  "each" pads the host with a leading 0, so its
-    loop variables are the 1-based positions it yields."""
-    slots, segments, fixed = _plan(pat, mode, bars)
+    loop variables are the 1-based positions it yields.
+
+    "first" is `kernel(h, g=0, guards=())`.  A slot of `ahead` also tests
+    its value against mins or maxs at its point, and each loop but the
+    outermost that runs out is charged its length against `steps`.  A call
+    without `guards` starts with no arrays, so no guard is tested, and
+    _FIRST_BUDGET steps per host entry.  Once they are spent, the search
+    takes `_guards(h, p0, runs)` and carries on where it stands if the
+    slots it has placed pass them, else starts again from its first point
+    p0 with them."""
+    slots, segments, fixed, runs, ahead = _plan(pat, mode, bars)
     found, missing, _ = _RESULTS[mode]
     f = len(fixed)
     k = f + len(slots)
     below, above = _bounds(tuple(v for v, _ in fixed) + slots)
-    read_later = set(below[f:]) | set(above[f:])
-    lines = [f"def kernel(h, {', '.join(a + '=0' for a in _anchors(segments, fixed))}):", "    m = len(h)"]
+    guard_of = {t: f"{'mins[p%d] < ' % t if lt else ''}v{t}{' < maxs[p%d]' % t if gt else ''}"
+                for t, (lt, gt) in enumerate(ahead, f) if lt or gt}
+    read_later = set(below[f:]) | set(above[f:]) | set(guard_of)
+    params = [a + "=0" for a in _anchors(segments, fixed)] + (["guards=()"] if guard_of else [])
+    lines = [f"def kernel(h, {', '.join(params)}):", "    m = len(h)"]
     base = 0
     if mode == "each":
         base = 1
@@ -282,6 +383,8 @@ def _source(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> str:
              for c, (s, ds), (e, de) in segments if c or s != "0" and e != "m"]
     if short:
         lines += [f"    if {' or '.join(short)}:", f"        return {missing}"]
+    if guard_of:
+        lines += [f"    mins, maxs, steps = guards or ((), (), {_FIRST_BUDGET} * m)"]
     lines += [f"    v{t} = h[{_offset(a, base - 1)}]" for t, (_, a) in enumerate(fixed) if t in read_later]
     starts: dict[int, str] = {}
     ends: list[str] = []  # exclusive end of each slot: room is left for the slots after it
@@ -291,7 +394,13 @@ def _source(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> str:
         ends += [_offset(e, de + base + i - c + 1) for i in range(c)]
     lines += [f"    e{f + t} = {end}" for t, end in enumerate(ends)]
     indent = "    "
+    charges: list[str] = []  # after each loop but the outermost, innermost first
     for t in range(f, k):
+        if guard_of and t > f:
+            placed = " and ".join(guard_of[u] for u in range(f, t) if u in guard_of)
+            charges[:0] = [f"{indent}steps -= e{t} - p{t - 1} - 1", f"{indent}if steps < 0:",
+                           f"{indent}    mins, maxs, steps = guards = _guards(h, p{f}, {runs})",
+                           f"{indent}    if not ({placed}):", f"{indent}        return kernel(h, p{f}, guards)"]
         lines.append(f"{indent}for p{t} in range({starts.get(t, f'p{t - 1} + 1')}, e{t}):")
         indent += "    "
         value = f"h[p{t}]"
@@ -303,10 +412,14 @@ def _source(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> str:
             test = f"v{below[t]} < {test}"
         if above[t] >= 0:
             test = f"{test} < v{above[t]}"
-        if test != value:
-            lines.append(f"{indent}if {test}:")
+        tests = [test] if test != value else []
+        if t in guard_of:  # not tested before the budget is spent
+            tests.append(f"(not mins or {guard_of[t]})" if tests else f"not mins or {guard_of[t]}")
+        if tests:
+            lines.append(f"{indent}if {' and '.join(tests)}:")
             indent += "    "
     lines.append(indent + found.format(occ))
+    lines += charges
     lines.append(f"    return {missing}")
     return "\n".join(lines) + "\n"
 
@@ -316,8 +429,9 @@ def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, *anchors
     """What the compiled kernel of (pat, mode, bars) returns for (host,
     *anchors), found by an iterative search with an explicit stack over the
     same plan: any length works, and the recursion limit is never
-    reached.  "each" returns the search itself, a generator."""
-    slots, segments, fixed = _plan(pat, mode, bars)
+    reached.  "each" returns the search itself, a generator.  "first"
+    builds its guards at once and has no step budget."""
+    slots, segments, fixed, runs, ahead = _plan(pat, mode, bars)
     f = len(fixed)
     k = f + len(slots)
     below, above = _bounds(tuple(v for v, _ in fixed) + slots)
@@ -334,6 +448,13 @@ def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, *anchors
             starts[f + len(ends)] = start
         ends += range(end - c + 1, end + 1)
     pos = [at[a] - 1 for _, a in fixed] + [0] * (k - f)
+    allowed: dict[int, list[bool]] = {}  # per guarded slot, the points it may take
+    if runs:
+        short = short or not _has_runs(host, at["g"], runs)
+        mins, maxs = _after(host)
+        for t, (lt, gt) in enumerate(ahead, f):
+            if lt or gt:
+                allowed[t] = [(not lt or a < v) and (not gt or v < b) for a, v, b in zip(mins, host, maxs)]
 
     def walk() -> Iterator[tuple[int, ...]]:
         if short:
@@ -349,6 +470,9 @@ def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, *anchors
             end = ends[t - f]
             while p < end and not lo < host[p] < hi:
                 p += 1
+            if p < end and t in allowed and not allowed[t][p]:
+                p += 1
+                continue
             if p < end:
                 pos[t] = p
                 if t == k - 1:
@@ -380,7 +504,7 @@ def _kernel(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> Call
     a0 < a1 < ....  Both paths read the one plan and return the same;
     plans of more than _MAX_LOOPS searched slots take `_stack_search`."""
     if len(_plan(pat, mode, bars)[0]) <= _MAX_LOOPS:
-        namespace: dict = {}
+        namespace: dict = {"_guards": _guards}
         exec(compile(_source(pat, mode, bars), f"<kernel {mode} {pat}>", "exec"), namespace)
         return namespace["kernel"]
     return lambda h, *anchors: _stack_search(h, pat, mode, *anchors, bars=bars)
@@ -399,7 +523,14 @@ def contains(host: Permutation, pattern: Permutation) -> bool:
 
 def find_occurrence(host: Permutation, pattern: Permutation) -> tuple[int, ...] | None:
     """The lexicographically least occurrence (1-based index tuple), or
-    None when the pattern is avoided."""
+    None when the pattern is avoided.  A host without a decreasing run of
+    three avoids 4321 after one scan, however long it is.
+
+    >>> find_occurrence(parse("314592687"), parse("1423"))
+    (1, 5, 7, 8)
+    >>> print(find_occurrence(parse("2 1 4 3 6 5 8 7"), parse("4321")))
+    None
+    """
     return _kernel(pattern.values, "first")(host.values)
 
 
@@ -560,7 +691,8 @@ def substitution_decompose(sigma: Permutation) -> tuple[Permutation, list[Permut
         return Permutation.decreasing(len(comps)), comps
     # Neither sum nor skew decomposable: the maximal proper intervals
     # partition the positions, so each block is the longest proper interval
-    # from its start, and the next block starts after it.
+    # from its start, and the next block starts after it.  The blocks are
+    # maximal, so the skeleton they leave is simple.
     vals = sigma.values
     n = len(vals)
     blocks = []
@@ -570,10 +702,7 @@ def substitution_decompose(sigma: Permutation) -> tuple[Permutation, list[Permut
         blocks.append(vals[a : end + 1])
         a = end + 1
     skeleton = reduce_word([min(block) for block in blocks])
-    components = [reduce_word(block) for block in blocks]
-    if not is_simple(skeleton):
-        raise PermPatError(f"internal error: skeleton {skeleton} not simple")
-    return skeleton, components
+    return skeleton, [reduce_word(block) for block in blocks]
 
 
 # ---------------------------------------------------------------------------

@@ -76,16 +76,20 @@ def statistic(name: str, sigma: Permutation) -> int:
     return _lookup(name)(sigma)
 
 
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise IterationCapError(
+            f"distribution over S_{n} exceeds the iteration cap of {cap}"
+        )
+
+
 def distribution(name: str, n: int, cap: int = DEFAULT_ITERATION_CAP) -> list[int]:
     """counts[k] = number of sigma in S_n with statistic value k.
 
     Computed by full iteration of S_n, so n is guarded by `cap`
     (default 10).  Entries sum to n! and trailing zero counts are trimmed.
     """
-    if n > cap:
-        raise IterationCapError(
-            f"distribution over S_{n} exceeds the iteration cap of {cap}"
-        )
+    _check_cap(n, cap)
     if n < 0:
         raise IterationCapError("length must be non-negative")
     fn = _lookup(name)
@@ -105,7 +109,8 @@ def equidistributed(
     a: str, b: str, n_max: int, cap: int = DEFAULT_ITERATION_CAP
 ) -> list[tuple[int, bool]]:
     """For each n <= n_max, whether statistics a and b have identical
-    distributions over S_n."""
+    distributions over S_n.  n_max is checked against `cap` first."""
+    _check_cap(n_max, cap)
     return [
         (n, distribution(a, n, cap) == distribution(b, n, cap))
         for n in range(n_max + 1)

@@ -34,6 +34,17 @@ def brute_occurrences(host: Permutation, pattern: Permutation) -> list[tuple[int
     ]
 
 
+def brute_longest_run(sigma: Permutation, sign: int) -> int:
+    """The length of sigma's longest increasing (sign 1) or decreasing
+    (sign -1) subsequence, by testing every index subset."""
+    vals = sigma.values
+    return max(
+        (r for r in range(len(vals) + 1) for idx in combinations(range(len(vals)), r)
+         if all(sign * vals[i] < sign * vals[j] for i, j in zip(idx, idx[1:]))),
+        default=0,
+    )
+
+
 def brute_contains(host: Permutation, pattern: Permutation) -> bool:
     k = len(pattern)
     vals = host.values

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from permpat import cli, parse
+from permpat import cli, parse, stats
 from permpat.classes import BUDGET_ENV_VAR
 
 
@@ -100,6 +100,11 @@ class TestStats:
         _, out, _ = run(capsys, "equidist", "des", "exc", "--n", "5")
         assert all(line.endswith("equal") for line in out.splitlines())
 
+    def test_equidist_checks_the_cap_first(self, capsys, monkeypatch):
+        monkeypatch.setattr(stats, "distribution", lambda *args: pytest.fail("iterated"))
+        assert run(capsys, "equidist", "des", "exc", "--n", "12", "--cap", "8") == (
+            1, "", "error: distribution over S_12 exceeds the iteration cap of 8\n")
+
 
 class TestMatch:
     def test_vincular(self, capsys):
@@ -187,6 +192,19 @@ class TestGrowthWilfClassify:
         doc = run_json(capsys, "growth", "123", "--n", "14", "--budget", "3000")
         assert doc["truncated_at"] == 9 and len(doc["values"]) == 9
         assert "truncated" not in run(capsys, "growth", "123", "--n", "8")[1]
+
+    def test_window_longer_than_the_prefix_is_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_enumerate_from_args", lambda args: pytest.fail("enumerated"))
+        code, out, err = run(capsys, "growth", "123", "--n", "5", "--window", "99")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_window_is_the_one_used(self, capsys):
+        doc = run_json(capsys, "growth", "123", "--n", "14", "--budget", "3000", "--window", "12")
+        assert doc["truncated_at"] == 9 and doc["window"] == 8
+        assert (doc["lower"], doc["upper"]) == (min(doc["values"][1:]), max(doc["values"][1:]))
+        assert run_json(capsys, "growth", "123", "--n", "2")["window"] == 2
+        assert run_json(capsys, "growth", "123", "--n", "5")["window"] == 3
 
     def test_wilf(self, capsys):
         _, out, _ = run(capsys, "wilf", "123", "132", "--n", "7")
@@ -366,7 +384,7 @@ class TestExitCodes:
 
 
 # Each entry puts the fuzzed text in one argument: a basis, a pattern (as
-# text and inside JSON) or a host.
+# text and inside JSON), a host or a length.
 FUZZED_ARGV = [
     lambda s: ["enumerate", s, "--n", "4"],
     lambda s: ["wilf", s, "12", "--n", "4"],
@@ -377,6 +395,8 @@ FUZZED_ARGV = [
     lambda s: ["decompose", "substitution", s],
     lambda s: ["simple", s],
     lambda s: ["intervals", s],
+    lambda s: ["growth", "12", "--n", "3", "--window", s],
+    lambda s: ["equidist", "des", "exc", "--n", s, "--cap", "5"],
 ]
 
 
@@ -388,6 +408,8 @@ FUZZED_ARGV = [
 @example(text="2²`1", template=FUZZED_ARGV[2])
 @example(text="1_0 3 7", template=FUZZED_ARGV[7])
 @example(text="١٢", template=FUZZED_ARGV[4])
+@example(text="99", template=FUZZED_ARGV[9])
+@example(text="12", template=FUZZED_ARGV[10])
 def test_basis_argument_fuzz(capsys, text, template):
     try:
         code = cli.main(template(text))

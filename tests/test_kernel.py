@@ -1,12 +1,21 @@
 """The compiled containment kernel and its long-pattern path, checked
 against the brute-force oracles."""
 
+import os
+import random
+import subprocess
+import sys
+from contextlib import contextmanager
+from itertools import chain
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from permpat import Permutation, cli, contains, find_occurrence, occurrences
-from permpat.perm import _MAX_LOOPS, _kernel, _source, _stack_search
+from permpat import Permutation, cli, contains, find_occurrence, occurrences, perm
+from permpat.perm import _MAX_LOOPS, _kernel, _monotone_run, _source, _stack_search
 
-from oracles import brute_occurrences, reduce_tuple
+from oracles import all_perms, brute_longest_run, brute_occurrences, reduce_tuple
 
 
 def perms(min_size: int, max_size: int):
@@ -138,3 +147,116 @@ def test_cli_identity_1249_in_identity_1299(capsys):
     assert cli.main(["contains", host, pattern]) == 0
     out = capsys.readouterr().out
     assert out == "true (" + ",".join(map(str, range(1, 1250))) + ")\n"
+
+
+@contextmanager
+def first_budget(steps: int):
+    """Compile "first" kernels with `steps` loop steps per host entry."""
+    with mock.patch.object(perm, "_FIRST_BUDGET", steps):
+        _kernel.cache_clear()
+        try:
+            yield
+        finally:
+            _kernel.cache_clear()
+
+
+@settings(max_examples=400, deadline=None)
+@given(host=perms(0, 8), pattern=perms(0, 6))
+def test_first_after_the_budget_runs_out_matches_oracle(host, pattern):
+    # Hosts this short never spend the budget; at 0 every search that
+    # runs a loop out builds its guards there.
+    expected = brute_occurrences(host, pattern)
+    with first_budget(0):
+        assert find_occurrence(host, pattern) == (expected[0] if expected else None)
+
+
+def test_monotone_run_matches_oracle():
+    for sigma in chain.from_iterable(all_perms(n) for n in range(8)):
+        for sign in (1, -1):
+            longest = brute_longest_run(sigma, sign)
+            for cap in range(9):
+                assert _monotone_run(sigma.values, sign, cap) == min(longest, cap), (sigma, sign, cap)
+
+
+def merged_runs(n: int, rng: random.Random) -> Permutation:
+    """A random merge of two increasing sequences: a 321-avoider."""
+    low = set(rng.sample(range(1, n + 1), n // 2))
+    runs = [sorted(low), sorted(set(range(1, n + 1)) - low)]
+    word = []
+    while runs[0] or runs[1]:
+        word.append(runs[rng.randrange(2) if runs[0] and runs[1] else bool(runs[1])].pop(0))
+    return Permutation(word)
+
+
+@pytest.mark.parametrize("pattern", [(3, 2, 1), (4, 3, 2, 1), (1, 4, 3, 2)])
+def test_host_without_a_long_enough_run_is_answered_by_the_prefilter(pattern):
+    host = merged_runs(2000, random.Random(2000))
+    # The runs are missing, so no suffix array is built for the host.
+    _kernel(pattern, "first")
+    with mock.patch.object(perm, "_after", side_effect=AssertionError("suffix arrays built")):
+        assert find_occurrence(host, Permutation(pattern)) is None
+    assert _stack_search(host.values, pattern, "first") is None
+
+
+def test_dead_first_entry_is_cut_by_the_guards():
+    # Value 1 first cannot start 2341, and an unguarded search from it
+    # visits every increasing triple of the rest.
+    rng = random.Random(2341)
+    rest = list(range(2, 1997))
+    rng.shuffle(rest)
+    host = Permutation([1] + rest + [1998, 1999, 2000, 1997])
+    pattern = Permutation((2, 3, 4, 1))
+    witness = find_occurrence(host, pattern)
+    assert witness is not None and witness[0] > 1
+    assert reduce_tuple(tuple(host[p - 1] for p in witness)) == pattern.values
+    with first_budget(0):
+        assert find_occurrence(host, pattern) == witness
+    assert _stack_search(host.values, pattern.values, "first") == witness
+
+
+def test_restart_keeps_the_first_point():
+    # Spent at once, the budget switches the guards on while p0 = 1 holds
+    # value 1 and p1 = 2 value 2, which has no smaller value after it: the
+    # search starts again from p0 = 1, which the least occurrence uses.
+    host, pattern = Permutation((1, 2, 5, 4, 3)), Permutation((1, 4, 3, 2))
+    with first_budget(0):
+        assert find_occurrence(host, pattern) == (1, 3, 4, 5)
+
+
+class CountedReads(tuple):
+    """A host that counts the reads of its points."""
+    reads = 0
+
+    def __getitem__(self, i):
+        CountedReads.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_dead_first_entry_costs_the_budget_only():
+    # Unguarded, the first entry alone costs C(299, 3), 4.4 million reads.
+    rng = random.Random(300)
+    rest = list(range(2, 301))
+    rng.shuffle(rest)
+    host = CountedReads([1] + rest)
+    CountedReads.reads = 0
+    witness = _kernel((2, 3, 4, 1), "first")(host)
+    assert witness is not None and witness[0] > 1
+    assert CountedReads.reads < 3 * perm._FIRST_BUDGET * len(host)
+
+
+def test_guards_beyond_the_loop_limit():
+    k = _MAX_LOOPS + 2
+    pattern = Permutation(tuple(range(2, k + 1)) + (1,))  # one slot too many to compile
+    dead_first = Permutation((1,) + tuple(range(3, k + 4)) + (2,))
+    for host in (dead_first, Permutation(tuple(range(k + 3, 0, -1)))):
+        expected = brute_occurrences(host, pattern)
+        assert find_occurrence(host, pattern) == (expected[0] if expected else None)
+    assert find_occurrence(dead_first, pattern)[0] == 2
+
+
+def test_import_compiles_no_kernel():
+    src = os.path.dirname(os.path.dirname(perm.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import permpat.cli, permpat.perm as p; print(p._kernel.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"

@@ -26,7 +26,7 @@ from permpat import (
     symmetry_orbit,
 )
 
-from oracles import all_perms, brute_occurrences
+from oracles import all_perms, brute_is_simple, brute_occurrences
 
 import prop_checks
 
@@ -247,6 +247,16 @@ class TestSubstitution:
                 Permutation.identity(k) if runs else Permutation(rng.sample(range(1, k + 1), k))
                 for k in sizes
             ]
+            assert substitution_decompose(inflate(skeleton, comps)) == (skeleton, comps)
+
+    @pytest.mark.parametrize("skeleton", ["2413", "3142", "25314", "41352", "24681357"])
+    def test_inflation_with_small_random_components(self, skeleton):
+        rng = random.Random(skeleton)
+        skeleton = P(skeleton)
+        assert brute_is_simple(skeleton)
+        for _ in range(50):
+            comps = [Permutation(rng.sample(range(1, k + 1), k))
+                     for k in (rng.randint(1, 5) for _ in skeleton.values)]
             assert substitution_decompose(inflate(skeleton, comps)) == (skeleton, comps)
 
     def test_short_input_errors(self):
