@@ -12,7 +12,6 @@ from .classes import (
     GrowthEstimate,
     WilfClassification,
     WilfVerdict,
-    enumerate_avoiders,
     enumerate_class,
     growth_estimates,
     parse_basis,

@@ -205,23 +205,6 @@ def enumerate_class(
     return ClassEnumeration(basis, counts, witnesses, truncated_at)
 
 
-def enumerate_avoiders(predicate, n_max: int) -> ClassEnumeration:
-    """Enumerate by filtering all of S_n with an arbitrary avoidance
-    predicate.  Works for non-classical (e.g. mesh/barred) avoidance sets,
-    which need not be down-sets, so no incremental shortcut applies."""
-    counts: list[int] = []
-    witnesses: list[list[Permutation]] = []
-    for n in range(n_max + 1):
-        level = [
-            sigma
-            for word in _all_perms(range(1, n + 1))
-            if predicate(sigma := Permutation(word))
-        ]
-        counts.append(len(level))
-        witnesses.append(level)
-    return ClassEnumeration(Basis(()), counts, witnesses, None)
-
-
 # ---------------------------------------------------------------------------
 # Growth-rate proxies
 

@@ -84,11 +84,8 @@ def _cmd_inflate(args) -> Result:
 
 def _cmd_decompose(args) -> Result:
     sigma = perm.parse(args.perm)
-    if args.kind == "sum":
-        comps = perm.sum_decompose(sigma)
-        return {"components": [list(c.values) for c in comps]}, [str(c) for c in comps]
-    if args.kind == "skew":
-        comps = perm.skew_decompose(sigma)
+    if args.kind != "substitution":
+        comps = (perm.sum_decompose if args.kind == "sum" else perm.skew_decompose)(sigma)
         return {"components": [list(c.values) for c in comps]}, [str(c) for c in comps]
     skeleton, comps = perm.substitution_decompose(sigma)
     return (
@@ -172,13 +169,11 @@ def _cmd_match(args) -> Result:
     results = []
     lines = []
     for host in hosts:
-        if isinstance(pattern, perm.Permutation):
-            occs = perm.occurrences(host, pattern)
-            entry = {"kind": "classical", "count": len(occs), "occurrences": occs}
-            lines.append(f"{host}: count {len(occs)}")
-        elif isinstance(pattern, patterns.MeshPattern):
-            occs = patterns.mesh_occurrences(host, pattern)
-            entry = {"kind": "mesh", "count": len(occs), "occurrences": occs}
+        if isinstance(pattern, (perm.Permutation, patterns.MeshPattern)):
+            classical = isinstance(pattern, perm.Permutation)
+            occs = (perm.occurrences if classical else patterns.mesh_occurrences)(host, pattern)
+            kind = "classical" if classical else "mesh"
+            entry = {"kind": kind, "count": len(occs), "occurrences": occs}
             lines.append(f"{host}: count {len(occs)}")
         elif isinstance(pattern, patterns.BarredPattern):
             found = patterns.barred_contains(host, pattern)

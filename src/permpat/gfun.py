@@ -79,21 +79,26 @@ def _normalize_ints(fracs: list[Fraction]) -> list[int]:
     return ints
 
 
+def _join_terms(terms: list[tuple[int, str]]) -> str:
+    """Signed terms (coefficient, unsigned text) as one sum, e.g.
+    [(1, "1"), (-1, "z")] -> "1 - z"; "0" when there are none."""
+    parts = [("-" if c < 0 else "") + body for c, body in terms[:1]]
+    parts += [("- " if c < 0 else "+ ") + body for c, body in terms[1:]]
+    return " ".join(parts) if parts else "0"
+
+
 def _poly_str(coeffs: tuple[int, ...], var: str) -> str:
     """Canonical text for a univariate polynomial, low degree first,
     e.g. (1, -1) -> "1 - z"."""
-    parts: list[str] = []
+    terms: list[tuple[int, str]] = []
     for i, c in enumerate(coeffs):
         if c == 0:
             continue
         body = str(abs(c)) if i == 0 or abs(c) != 1 else ""
         if i >= 1:
             body += ("*" if body else "") + (var if i == 1 else f"{var}^{i}")
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+        terms.append((c, body))
+    return _join_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +200,16 @@ class AlgebraicFit:
     coefficients: dict[tuple[int, int], int]
 
     def __str__(self) -> str:
-        terms = sorted(self.coefficients, key=lambda ij: (-ij[1], -ij[0]))
-        parts: list[str] = []
-        for i, j in terms:
+        terms: list[tuple[int, str]] = []
+        for i, j in sorted(self.coefficients, key=lambda ij: (-ij[1], -ij[0])):
             c = self.coefficients[(i, j)]
             body = "*".join(
                 ([] if abs(c) == 1 and (i or j) else [str(abs(c))])
                 + (["z" if i == 1 else f"z^{i}"] if i else [])
                 + (["y" if j == 1 else f"y^{j}"] if j else [])
             )
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+            terms.append((c, body))
+        return _join_terms(terms)
 
     def residue(self, series: list[int]) -> list[Fraction]:
         """Coefficients of P(z, F(z)) truncated to the series length."""

@@ -6,10 +6,11 @@ by operations here (occurrences, intervals, extreme points) are 1-based, so
 they line up with the notation sigma(1)...sigma(n).  Values are accessed
 0-based via indexing, like any Python sequence.
 
-Containment has one search plan and two paths that read it.  `_plan`
-says which pattern slots a mode searches for, which host segment each
-lies in, between anchors such as "g" (a gap) and "x" (a position), and
-which slots it takes as fixed at given host points.  There are four modes:
+Containment has one search plan and one source generator that reads it.
+`_plan` says which pattern slots a mode searches for, which host segment
+each lies in, between anchors such as "g" (a gap) and "x" (a position),
+and which slots it takes as fixed at given host points.  There are four
+modes:
 - "first" (`contains`, `find_occurrence`) searches the whole pattern right
   of g = 0 and returns its least occurrence;
 - "each" searches the same and yields every occurrence in turn, so
@@ -23,15 +24,15 @@ which slots it takes as fixed at given host points.  There are four modes:
   searches only the barred slots, in the segments between those points
   and inside the value windows their host values leave.
 
-The fast path writes Python source with one nested `for` loop per
-searched slot, each testing inline the open window of host values that
-the fixed or earlier slots holding the next smaller and next larger
-pattern values leave it, compiles it once per (pattern, mode, barred
-slots), and keeps it in a
-`functools.lru_cache` of 1024 entries.  CPython compiles at most 20
-nested loops; longer plans take `_stack_search`, an iterative search with
-an explicit stack that returns what the compiled kernel returns at any
-length and cannot hit the recursion limit.
+`_source` writes Python source with one nested `for` loop per searched
+slot, each testing inline the open window of host values that the fixed
+or earlier slots holding the next smaller and next larger pattern values
+leave it; `_kernel` compiles it once per (pattern, mode, barred slots)
+and keeps it in a `functools.lru_cache` of 1024 entries.  CPython
+compiles at most 20 nested loops, so a longer plan is written as blocks
+of 20 slots, each a generator expression with the same tests as
+clauses, and driven by an explicit stack of block generators: any
+length compiles, and the recursion limit is never reached.
 
 "first" has two guards, necessary tests that cut searches holding no
 occurrence.  A host must have an increasing and a decreasing subsequence
@@ -40,14 +41,15 @@ many piles checks it in one O(n log k) scan that stops as soon as the
 piles fill.  And a slot with a smaller (larger) pattern value after it
 must take a host point with a smaller (larger) value after it, tested
 against suffix minima and maxima.  Both cost O(n), more than most
-positive searches, so a compiled search starts with arrays every point
+positive searches, so a nested search starts with arrays every point
 passes and a budget of _FIRST_BUDGET loop steps per host entry.  Only a
 search that spends it builds the arrays (ones no point passes if the
 runs are missing) and switches them in.  If the slots it has placed
 pass them, it carries on where it stands; else it starts again from its
 first point, as no occurrence starts earlier.  Either way the search
 order is unchanged, so the least occurrence is the one found, and the
-work repeated is bounded by the budget.
+work repeated is bounded by the budget.  A search in blocks builds its
+arrays at once.
 
 The structural half is one scan per decomposition: `_cut` for the sum and
 skew components, and `_interval_ends`, the intervals from one start by a
@@ -329,13 +331,12 @@ def _anchors(segments: tuple, fixed: tuple) -> list[str]:
     return sorted(names - {"0", "m"}, key=lambda a: (len(a), a))
 
 
-# Per mode: the statement a compiled kernel runs on an occurrence (given as
-# a 1-based tuple), the value it returns when there is none, and how the
-# stack path turns its stream of 1-based occurrences into the same result.
-_EXISTS = ("return True", "False", lambda occs: next(occs, None) is not None)
-_RESULTS: dict[str, tuple[str, str, Callable]] = {
-    "first": ("return {}", "None", lambda occs: next(occs, None)),
-    "each": ("yield {}", "None", lambda occs: occs),
+# Per mode: the statement a kernel runs on an occurrence (given as a
+# 1-based tuple), and the value it returns when there is none.
+_EXISTS = ("return True", "False")
+_RESULTS: dict[str, tuple[str, str]] = {
+    "first": ("return {}", "None"),
+    "each": ("yield {}", "None"),
     "two-anchor": _EXISTS,
     "extend": _EXISTS,
 }
@@ -346,29 +347,43 @@ def _offset(name: str, c: int) -> str:
 
 
 def _source(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> str:
-    """Python source of `kernel(h, <anchors>=0)`: one nested `for` loop per
-    searched slot of `_plan(pat, mode, bars)`, the value-window tests
-    inlined, the first slot of each segment starting at the segment's
+    """Python source of `kernel(h, <anchors>=0)`, the search of
+    `_plan(pat, mode, bars)`.  Slot t is placed at position p_t, which
+    ranges up to the slot's exclusive end e_t, and its host value v_t is
+    read once if a later test needs it; the value-window tests are
+    inlined, and the first slot of each segment starts at the segment's
     start.  A segment too short for its slots, or one between the two
     anchors that they invert, returns at once.  Variables are numbered
-    fixed slots first, so the fixed slots' values v0, v1, ... are read
-    once, before the loops.  "each" pads the host with a leading 0, so its
-    loop variables are the 1-based positions it yields.
+    fixed slots first, so the fixed slots' values are read once, before
+    the search.  "each" pads the host with a leading 0, so its positions
+    are the 1-based ones it yields.
 
-    "first" is `kernel(h, g=0, guards=())`.  A slot of `ahead` also tests
-    its value against mins or maxs at its point, and each loop but the
-    outermost that runs out is charged its length against `steps`.  A call
-    without `guards` starts with no arrays, so no guard is tested, and
-    _FIRST_BUDGET steps per host entry.  Once they are spent, the search
-    takes `_guards(h, p0, runs)` and carries on where it stands if the
-    slots it has placed pass them, else starts again from its first point
-    p0 with them."""
+    At most _MAX_LOOPS searched slots are nested `for` loops over the
+    locals p3, v3, e3, ...  "first" is then `kernel(h, g=0, guards=())`.
+    A slot of `ahead` also tests its value against mins or maxs at its
+    point, and each loop but the outermost that runs out is charged its
+    length against `steps`.  A call without `guards` starts with no
+    arrays, so no guard is tested, and _FIRST_BUDGET steps per host
+    entry.  Once they are spent, the search takes `_guards(h, p0, runs)`
+    and carries on where it stands if the slots it has placed pass them,
+    else starts again from its first point p0 with them.
+
+    Longer plans, which CPython cannot nest, keep the slots in the lists
+    P, V and E and cut them into blocks of _MAX_LOOPS, each a generator
+    expression whose clauses assign P[t] and V[t] and test the slot.  A
+    stack of block generators stands for the search: a placement pushes
+    the next block, a block that runs out is popped, and a placement of
+    the last block is an occurrence.  So nothing recurses at run time.
+    "first" takes `_guards(h, g, runs)` at once, with no step budget."""
     slots, segments, fixed, runs, ahead = _plan(pat, mode, bars)
-    found, missing, _ = _RESULTS[mode]
+    found, missing = _RESULTS[mode]
     f = len(fixed)
     k = f + len(slots)
+    blocks = len(slots) > _MAX_LOOPS
+    # slot t's position, value and end: p3, v3, e3 nested, P[3], V[3], E[3] in blocks
+    pos, val, stop = ([f"{c}[{t}]" if blocks else f"{c.lower()}{t}" for t in range(k)] for c in "PVE")
     below, above = _bounds(tuple(v for v, _ in fixed) + slots)
-    guard_of = {t: f"{'mins[p%d] < ' % t if lt else ''}v{t}{' < maxs[p%d]' % t if gt else ''}"
+    guard_of = {t: f"{f'mins[{pos[t]}] < ' if lt else ''}{val[t]}{f' < maxs[{pos[t]}]' if gt else ''}"
                 for t, (lt, gt) in enumerate(ahead, f) if lt or gt}
     read_later = set(below[f:]) | set(above[f:]) | set(guard_of)
     params = [a + "=0" for a in _anchors(segments, fixed)] + (["guards=()"] if guard_of else [])
@@ -378,136 +393,90 @@ def _source(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> str:
         base = 1
         lines += ["    h = (0, *h)"]
     comma = "," if k - f == 1 else ""
-    occ = f"({', '.join(_offset(f'p{t}', 1 - base) for t in range(f, k))}{comma})"
+    occ = f"({', '.join(_offset(pos[t], 1 - base) for t in range(f, k))}{comma})"
     short = [f"{e if s == '0' else f'{e} - {s}'} < {c + ds - de}"
              for c, (s, ds), (e, de) in segments if c or s != "0" and e != "m"]
     if short:
         lines += [f"    if {' or '.join(short)}:", f"        return {missing}"]
+    if blocks:
+        lines += [f"    P, V, E = [0] * {k}, [0] * {k}, [0] * {k}"]
     if guard_of:
-        lines += [f"    mins, maxs, steps = guards or ((), (), {_FIRST_BUDGET} * m)"]
-    lines += [f"    v{t} = h[{_offset(a, base - 1)}]" for t, (_, a) in enumerate(fixed) if t in read_later]
+        spare = f"_guards(h, g, {runs})" if blocks else f"((), (), {_FIRST_BUDGET} * m)"
+        lines += [f"    mins, maxs, steps = guards or {spare}"]
+    lines += [f"    {val[t]} = h[{_offset(a, base - 1)}]" for t, (_, a) in enumerate(fixed) if t in read_later]
     starts: dict[int, str] = {}
     ends: list[str] = []  # exclusive end of each slot: room is left for the slots after it
     for c, (s, ds), (e, de) in segments:
         if c:
             starts[f + len(ends)] = _offset(s, ds + base)
         ends += [_offset(e, de + base + i - c + 1) for i in range(c)]
-    lines += [f"    e{f + t} = {end}" for t, end in enumerate(ends)]
+    lines += [f"    {stop[f + t]} = {end}" for t, end in enumerate(ends)]
     indent = "    "
+    clauses: list[str] = []  # per searched slot, its generator clauses in blocks
     charges: list[str] = []  # after each loop but the outermost, innermost first
     for t in range(f, k):
-        if guard_of and t > f:
+        if guard_of and t > f and not blocks:
             placed = " and ".join(guard_of[u] for u in range(f, t) if u in guard_of)
             charges[:0] = [f"{indent}steps -= e{t} - p{t - 1} - 1", f"{indent}if steps < 0:",
                            f"{indent}    mins, maxs, steps = guards = _guards(h, p{f}, {runs})",
                            f"{indent}    if not ({placed}):", f"{indent}        return kernel(h, p{f}, guards)"]
-        lines.append(f"{indent}for p{t} in range({starts.get(t, f'p{t - 1} + 1')}, e{t}):")
-        indent += "    "
-        value = f"h[p{t}]"
-        if t in read_later:
-            lines.append(f"{indent}v{t} = h[p{t}]")
-            value = f"v{t}"
+        loop = f"for {pos[t]} in range({starts.get(t, f'{pos[t - 1]} + 1')}, {stop[t]})"
+        read = f"h[{pos[t]}]"
+        value = val[t] if t in read_later else read
         test = value
         if below[t] >= 0:
-            test = f"v{below[t]} < {test}"
+            test = f"{val[below[t]]} < {test}"
         if above[t] >= 0:
-            test = f"{test} < v{above[t]}"
+            test = f"{test} < {val[above[t]]}"
         tests = [test] if test != value else []
-        if t in guard_of:  # not tested before the budget is spent
-            tests.append(f"(not mins or {guard_of[t]})" if tests else f"not mins or {guard_of[t]}")
+        if t in guard_of:  # nested, not tested before the budget is spent
+            guard = guard_of[t]
+            tests.append(guard if blocks else f"(not mins or {guard})" if tests else f"not mins or {guard}")
+        if blocks:
+            clause = [loop]
+            if value != read:
+                clause.append(f"for {value} in ({read},)")
+            if tests:
+                clause.append(f"if {' and '.join(tests)}")
+            clauses.append(" ".join(clause))
+            continue
+        lines.append(f"{indent}{loop}:")
+        indent += "    "
+        if value != read:
+            lines.append(f"{indent}{value} = {read}")
         if tests:
             lines.append(f"{indent}if {' and '.join(tests)}:")
             indent += "    "
+    if blocks:
+        cut = range(0, len(clauses), _MAX_LOOPS)
+        lines += ["    blocks = ("] + [f"        lambda: (None {' '.join(clauses[i:i + _MAX_LOOPS])}),"
+                                       for i in cut]
+        lines += ["    )", "    stack = [blocks[0]()]", "    while stack:",
+                  "        if next(stack[-1], True):", "            stack.pop()",
+                  f"        elif len(stack) < {len(cut)}:", "            stack.append(blocks[len(stack)]())",
+                  "        else:"]
+        indent = "            "
     lines.append(indent + found.format(occ))
     lines += charges
     lines.append(f"    return {missing}")
     return "\n".join(lines) + "\n"
 
 
-def _stack_search(host: Sequence[int], pat: tuple[int, ...], mode: str, *anchors: int,
-                  bars: tuple[int, ...] = ()):
-    """What the compiled kernel of (pat, mode, bars) returns for (host,
-    *anchors), found by an iterative search with an explicit stack over the
-    same plan: any length works, and the recursion limit is never
-    reached.  "each" returns the search itself, a generator.  "first"
-    builds its guards at once and has no step budget."""
-    slots, segments, fixed, runs, ahead = _plan(pat, mode, bars)
-    f = len(fixed)
-    k = f + len(slots)
-    below, above = _bounds(tuple(v for v, _ in fixed) + slots)
-    n = len(host)
-    names = _anchors(segments, fixed)
-    at = {"0": 0, "m": n, **dict.fromkeys(names, 0), **dict(zip(names, anchors))}
-    starts: dict[int, int] = {}
-    ends: list[int] = []
-    short = False
-    for c, (s, ds), (e, de) in segments:
-        start, end = at[s] + ds, at[e] + de
-        short = short or end - start < c
-        if c:
-            starts[f + len(ends)] = start
-        ends += range(end - c + 1, end + 1)
-    pos = [at[a] - 1 for _, a in fixed] + [0] * (k - f)
-    allowed: dict[int, list[bool]] = {}  # per guarded slot, the points it may take
-    if runs:
-        short = short or not _has_runs(host, at["g"], runs)
-        mins, maxs = _after(host)
-        for t, (lt, gt) in enumerate(ahead, f):
-            if lt or gt:
-                allowed[t] = [(not lt or a < v) and (not gt or v < b) for a, v, b in zip(mins, host, maxs)]
-
-    def walk() -> Iterator[tuple[int, ...]]:
-        if short:
-            return
-        if k == f:
-            yield ()
-            return
-        t = f
-        p = starts[f]
-        while True:
-            lo = host[pos[below[t]]] if below[t] >= 0 else 0
-            hi = host[pos[above[t]]] if above[t] >= 0 else n + 1
-            end = ends[t - f]
-            while p < end and not lo < host[p] < hi:
-                p += 1
-            if p < end and t in allowed and not allowed[t][p]:
-                p += 1
-                continue
-            if p < end:
-                pos[t] = p
-                if t == k - 1:
-                    yield tuple(q + 1 for q in pos[f:])
-                    p += 1
-                else:
-                    t += 1
-                    p = starts.get(t, p + 1)
-            else:
-                t -= 1
-                if t < f:
-                    return
-                p = pos[t] + 1
-
-    return _RESULTS[mode][2](walk())
-
-
 @lru_cache(maxsize=1024)
 def _kernel(pat: tuple[int, ...], mode: str, bars: tuple[int, ...] = ()) -> Callable:
-    """The search of `_plan(pat, mode, bars)`, built once per (pattern,
-    mode, bars).  "first" and "each" are `kernel(h, g=0)`: the least
-    occurrence (1-based) or None, and a generator of every occurrence in
-    lexicographic order.  "two-anchor" is `kernel(h, g=0, x=0)`: whether an
-    occurrence of pat uses both h's point at x, as pat's second largest
-    value, and a new point larger than all of h inserted at gap g
-    (0-based), as its largest.  "extend" is `kernel(h, a0, a1, ...)`:
-    whether host points can fill the barred slots `bars` (1-based, sorted)
-    of pat so that pat occurs with its other slots at the 1-based positions
-    a0 < a1 < ....  Both paths read the one plan and return the same;
-    plans of more than _MAX_LOOPS searched slots take `_stack_search`."""
-    if len(_plan(pat, mode, bars)[0]) <= _MAX_LOOPS:
-        namespace: dict = {"_guards": _guards}
-        exec(compile(_source(pat, mode, bars), f"<kernel {mode} {pat}>", "exec"), namespace)
-        return namespace["kernel"]
-    return lambda h, *anchors: _stack_search(h, pat, mode, *anchors, bars=bars)
+    """The compiled search of `_plan(pat, mode, bars)` (see `_source`),
+    built once per (pattern, mode, bars).  "first" and "each" are
+    `kernel(h, g=0)`: the least occurrence (1-based) or None, and a
+    generator of every occurrence in lexicographic order.  "two-anchor"
+    is `kernel(h, g=0, x=0)`: whether an occurrence of pat uses both h's
+    point at x, as pat's second largest value, and a new point larger
+    than all of h inserted at gap g (0-based), as its largest.  "extend"
+    is `kernel(h, a0, a1, ...)`: whether host points can fill the barred
+    slots `bars` (1-based, sorted) of pat so that pat occurs with its
+    other slots at the 1-based positions a0 < a1 < ...."""
+    namespace: dict = {"_guards": _guards}
+    exec(compile(_source(pat, mode, bars), f"<kernel {mode} {pat}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def contains(host: Permutation, pattern: Permutation) -> bool:

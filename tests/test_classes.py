@@ -9,7 +9,6 @@ from permpat import (
     IterationCapError,
     Permutation,
     PermPatError,
-    enumerate_avoiders,
     enumerate_class,
     growth_estimates,
     parse,
@@ -120,19 +119,17 @@ class TestNonClassicalEnumeration:
         # Av of the consecutive pattern 123 at n=4: permutations with no
         # three consecutive rising entries
         pattern = parse_pattern("1-23")
-        enum = enumerate_avoiders(
-            lambda sigma: vincular_count(sigma, pattern) == 0, 5
-        )
         # independent count: filter by direct definition
         from oracles import all_perms, vincular_occurrences_direct
 
         for n in range(6):
+            count = sum(1 for sigma in all_perms(n) if vincular_count(sigma, pattern) == 0)
             expected = sum(
                 1
                 for sigma in all_perms(n)
                 if not vincular_occurrences_direct(sigma, parse("123"), {2})
             )
-            assert enum.counts[n] == expected
+            assert count == expected
 
 
 class TestGrowth:

@@ -1,5 +1,7 @@
-"""The compiled containment kernel and its long-pattern path, checked
-against the brute-force oracles."""
+"""The compiled containment kernel in both its shapes, checked against
+the brute-force oracles.  Plans of more than `_MAX_LOOPS` searched slots
+compile as blocks of generator clauses; `long_plans` lowers that limit so
+the block shape runs on short patterns too, chained over many blocks."""
 
 import os
 import random
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permpat import Permutation, cli, contains, find_occurrence, occurrences, perm
-from permpat.perm import _MAX_LOOPS, _kernel, _monotone_run, _source, _stack_search
+from permpat.perm import _MAX_LOOPS, _kernel, _monotone_run, _source
 
 from oracles import all_perms, brute_longest_run, brute_occurrences, reduce_tuple
 
@@ -24,6 +26,22 @@ def perms(min_size: int, max_size: int):
     ).map(Permutation)
 
 
+@contextmanager
+def long_plans(limit: int):
+    """Compile every plan of more than `limit` searched slots in blocks of
+    `limit` slots."""
+    with mock.patch.object(perm, "_MAX_LOOPS", limit):
+        _kernel.cache_clear()
+        try:
+            yield
+        finally:
+            _kernel.cache_clear()
+
+
+# The nested shape, then blocks of one, two and three slots.
+SHAPES = (_MAX_LOOPS, 1, 2, 3)
+
+
 def with_new_maximum(sigma: tuple[int, ...], g: int) -> Permutation:
     return Permutation(sigma[:g] + (len(sigma) + 1,) + sigma[g:])
 
@@ -32,12 +50,12 @@ def with_new_maximum(sigma: tuple[int, ...], g: int) -> Permutation:
 @given(host=perms(0, 8), pattern=perms(0, 6))
 def test_first_and_all_match_oracle(host, pattern):
     expected = brute_occurrences(host, pattern)
-    assert occurrences(host, pattern) == expected
-    assert find_occurrence(host, pattern) == (expected[0] if expected else None)
-    assert contains(host, pattern) == bool(expected)
-    assert list(_kernel(pattern.values, "each")(host.values)) == expected
-    assert list(_stack_search(host.values, pattern.values, "each")) == expected
-    assert _stack_search(host.values, pattern.values, "first") == find_occurrence(host, pattern)
+    for limit in SHAPES:
+        with long_plans(limit):
+            assert occurrences(host, pattern) == expected
+            assert find_occurrence(host, pattern) == (expected[0] if expected else None)
+            assert contains(host, pattern) == bool(expected)
+            assert list(_kernel(pattern.values, "each")(host.values)) == expected
 
 
 def two_anchor_expected(child: Permutation, pattern: Permutation, g: int) -> bool:
@@ -57,9 +75,10 @@ def test_two_anchor_matches_oracle(parent, pattern, data):
     g = data.draw(st.integers(0, len(child)), label="gap")
     expected = two_anchor_expected(child, pattern, g)
     sigma = child.values
-    assert _kernel(pattern.values, "two-anchor")(sigma, g, x) == expected
-    assert _kernel(pattern.values, "two-anchor")(bytes(sigma), g, x) == expected
-    assert _stack_search(sigma, pattern.values, "two-anchor", g, x) == expected
+    for limit in SHAPES:
+        with long_plans(limit):
+            assert _kernel(pattern.values, "two-anchor")(sigma, g, x) == expected
+            assert _kernel(pattern.values, "two-anchor")(bytes(sigma), g, x) == expected
 
 
 def extend_expected(host: Permutation, pattern: Permutation, bars: tuple[int, ...],
@@ -81,11 +100,13 @@ def test_extend_matches_oracle(host, pattern, data):
     positions = range(1, len(pattern) + 1)
     bars = tuple(sorted(data.draw(
         st.sets(st.sampled_from(positions), min_size=1, max_size=len(pattern) - 1), label="bars")))
-    kernel = _kernel(pattern.values, "extend", bars)
-    for occ in effective_occurrences(host, pattern, bars):
-        expected = extend_expected(host, pattern, bars, occ)
-        assert kernel(host.values, *occ) == expected, occ
-        assert _stack_search(host.values, pattern.values, "extend", *occ, bars=bars) == expected
+    cases = [(occ, extend_expected(host, pattern, bars, occ))
+             for occ in effective_occurrences(host, pattern, bars)]
+    for limit in SHAPES:
+        with long_plans(limit):
+            kernel = _kernel(pattern.values, "extend", bars)
+            for occ, expected in cases:
+                assert kernel(host.values, *occ) == expected, (limit, occ)
 
 
 def test_loop_limit_is_where_compilation_ends():
@@ -149,6 +170,20 @@ def test_cli_identity_1249_in_identity_1299(capsys):
     assert out == "true (" + ",".join(map(str, range(1, 1250))) + ")\n"
 
 
+def test_cli_identity_25000_in_identity_25050():
+    # A single generator expression over all 25,000 slots crashes the
+    # compiler; blocks of _MAX_LOOPS slots compile, and the search does
+    # not recurse.  A child process keeps a crash from taking the suite.
+    src = os.path.dirname(os.path.dirname(perm.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; from permpat import cli; "
+            "text = lambda n: ' '.join(map(str, range(1, n + 1))); "
+            "sys.exit(cli.main(['contains', text(25050), text(25000)]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == "true (" + ",".join(map(str, range(1, 25001))) + ")\n"
+
+
 @contextmanager
 def first_budget(steps: int):
     """Compile "first" kernels with `steps` loop steps per host entry."""
@@ -168,6 +203,107 @@ def test_first_after_the_budget_runs_out_matches_oracle(host, pattern):
     expected = brute_occurrences(host, pattern)
     with first_budget(0):
         assert find_occurrence(host, pattern) == (expected[0] if expected else None)
+
+
+def test_sources_of_hot_plans_are_pinned():
+    # One small plan per mode in the nested shape, so that a plan change
+    # cannot alter a hot kernel unseen.
+    assert _source((1, 3, 2, 4), "first") == FIRST_1324
+    assert _source((1, 3, 2), "each") == EACH_132
+    assert _source((2, 1, 4, 3), "two-anchor") == TWO_ANCHOR_2143
+    assert _source((2, 1, 3, 4), "extend", (2, 4)) == EXTEND_2134_BARS_2_4
+
+
+FIRST_1324 = """\
+def kernel(h, g=0, guards=()):
+    m = len(h)
+    if m - g < 4:
+        return None
+    mins, maxs, steps = guards or ((), (), 16 * m)
+    e0 = m - 3
+    e1 = m - 2
+    e2 = m - 1
+    e3 = m
+    for p0 in range(g, e0):
+        v0 = h[p0]
+        if not mins or v0 < maxs[p0]:
+            for p1 in range(p0 + 1, e1):
+                v1 = h[p1]
+                if v0 < v1 and (not mins or mins[p1] < v1 < maxs[p1]):
+                    for p2 in range(p1 + 1, e2):
+                        if v0 < h[p2] < v1:
+                            for p3 in range(p2 + 1, e3):
+                                if v1 < h[p3]:
+                                    return (p0 + 1, p1 + 1, p2 + 1, p3 + 1)
+                            steps -= e3 - p2 - 1
+                            if steps < 0:
+                                mins, maxs, steps = guards = _guards(h, p0, (3, 2))
+                                if not (v0 < maxs[p0] and mins[p1] < v1 < maxs[p1]):
+                                    return kernel(h, p0, guards)
+                    steps -= e2 - p1 - 1
+                    if steps < 0:
+                        mins, maxs, steps = guards = _guards(h, p0, (3, 2))
+                        if not (v0 < maxs[p0] and mins[p1] < v1 < maxs[p1]):
+                            return kernel(h, p0, guards)
+            steps -= e1 - p0 - 1
+            if steps < 0:
+                mins, maxs, steps = guards = _guards(h, p0, (3, 2))
+                if not (v0 < maxs[p0]):
+                    return kernel(h, p0, guards)
+    return None
+"""
+
+EACH_132 = """\
+def kernel(h, g=0):
+    m = len(h)
+    h = (0, *h)
+    if m - g < 3:
+        return None
+    e0 = m - 1
+    e1 = m
+    e2 = m + 1
+    for p0 in range(g + 1, e0):
+        v0 = h[p0]
+        for p1 in range(p0 + 1, e1):
+            v1 = h[p1]
+            if v0 < v1:
+                for p2 in range(p1 + 1, e2):
+                    if v0 < h[p2] < v1:
+                        yield (p0, p1, p2)
+    return None
+"""
+
+TWO_ANCHOR_2143 = """\
+def kernel(h, g=0, x=0):
+    m = len(h)
+    if g < 2 or x - g < 0:
+        return False
+    e0 = g - 1
+    e1 = g
+    for p0 in range(0, e0):
+        v0 = h[p0]
+        for p1 in range(p0 + 1, e1):
+            if h[p1] < v0:
+                return True
+    return False
+"""
+
+EXTEND_2134_BARS_2_4 = """\
+def kernel(h, a0=0, a1=0):
+    m = len(h)
+    if a1 - a0 < 2 or m - a1 < 1:
+        return False
+    v0 = h[a0 - 1]
+    v1 = h[a1 - 1]
+    e2 = a1 - 1
+    e3 = m
+    for p2 in range(a0, e2):
+        if h[p2] < v0:
+            for p3 in range(a1, e3):
+                if v1 < h[p3]:
+                    return True
+    return False
+"""
 
 
 def test_monotone_run_matches_oracle():
@@ -191,11 +327,13 @@ def merged_runs(n: int, rng: random.Random) -> Permutation:
 @pytest.mark.parametrize("pattern", [(3, 2, 1), (4, 3, 2, 1), (1, 4, 3, 2)])
 def test_host_without_a_long_enough_run_is_answered_by_the_prefilter(pattern):
     host = merged_runs(2000, random.Random(2000))
-    # The runs are missing, so no suffix array is built for the host.
-    _kernel(pattern, "first")
-    with mock.patch.object(perm, "_after", side_effect=AssertionError("suffix arrays built")):
-        assert find_occurrence(host, Permutation(pattern)) is None
-    assert _stack_search(host.values, pattern, "first") is None
+    # The runs are missing, so no suffix array is built for the host, also
+    # by blocks, which take their guards at once.
+    for limit in (_MAX_LOOPS, 1):
+        with long_plans(limit):
+            _kernel(pattern, "first")
+            with mock.patch.object(perm, "_after", side_effect=AssertionError("suffix arrays built")):
+                assert find_occurrence(host, Permutation(pattern)) is None
 
 
 def test_dead_first_entry_is_cut_by_the_guards():
@@ -211,7 +349,8 @@ def test_dead_first_entry_is_cut_by_the_guards():
     assert reduce_tuple(tuple(host[p - 1] for p in witness)) == pattern.values
     with first_budget(0):
         assert find_occurrence(host, pattern) == witness
-    assert _stack_search(host.values, pattern.values, "first") == witness
+    with long_plans(2):
+        assert find_occurrence(host, pattern) == witness
 
 
 def test_restart_keeps_the_first_point():
