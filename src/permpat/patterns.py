@@ -6,7 +6,10 @@ permutation of length k together with a set of shaded cells (i, j) with
 pattern's plot.  An occurrence is a classical occurrence such that no host
 point falls in any shaded region, where cell (i, j) maps to the open host
 rectangle between matched positions i, i+1 and matched values of ranks
-j, j+1 (with sentinels 0 and n+1 on both axes).
+j, j+1 (with sentinels 0 and n+1 on both axes).  Matching lists every
+classical occurrence and keeps it by a predicate compiled once per (pattern,
+shading): one O(1) test per maximal run of shaded rows in a column, against
+the host's prefix bitsets (O(n^2/64) words, built once per call).
 
 Vincular and bivincular patterns compile to mesh patterns (full columns,
 resp. full rows).  A barred pattern is matched from two kernels of `perm`:
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Union
+from functools import lru_cache
+from typing import Callable, Union
 
 from .errors import PatternSyntaxError, PermPatError
 from .perm import Permutation, _kernel, occurrences, reduce_word
@@ -123,9 +127,31 @@ Pattern = Union[Permutation, MeshPattern, VincularPattern, BivincularPattern, Ba
 # Matching
 
 
+@lru_cache(maxsize=1024)
+def _mesh_filter(pat: tuple[int, ...], shaded: frozenset) -> Callable:
+    """`keeper(h, B, N)` for a host h of length N - 1 with prefix bitsets B:
+    a predicate on 1-based occurrences of pat testing each column's maximal
+    runs of shaded rows, with sentinels p0 = q0 = 0, p(k+1) = q(k+1) = N."""
+    p = ["0", *(f"p{s}" for s in range(1, len(pat) + 1)), "N"]
+    q = ["0", *(f"h[p{pat.index(v) + 1} - 1]" for v in range(1, len(pat) + 1)), "N"]
+    starts = sorted(c for c in shaded if (c[0], c[1] - 1) not in shaded)
+    ends = sorted(c for c in shaded if (c[0], c[1] + 1) not in shaded)
+    tests = [f"not (B[{p[i + 1]} - 1] ^ B[{p[i]}]) & ((1 << {q[b + 1]}) - (2 << {q[a]}))"
+             for (i, a), (_, b) in zip(starts, ends)]
+    source = (f"def keeper(h, B, N):\n    def keep(o):\n        [{', '.join(p[1:-1])}] = o\n"
+              f"        return {' and '.join(tests) or 'True'}\n    return keep\n")
+    namespace: dict = {}
+    exec(compile(source, f"<mesh filter {pat}>", "exec"), namespace)
+    return namespace["keeper"]
+
+
 def mesh_occurrences(host: Permutation, mp: MeshPattern) -> list[tuple[int, ...]]:
     """Classical occurrences of the pattern whose shaded regions contain no
     host point, sorted by index tuple (1-based).
+
+    Every classical occurrence is listed, then kept by a predicate compiled
+    once per (pattern, shading): one O(1) prefix-bitset test per run of
+    shaded rows in a column, with O(n^2/64) words of bitsets per call.
 
     Shading the cell (1, 0) under and between the two entries of 12 asks
     that no smaller value lie between them:
@@ -133,23 +159,12 @@ def mesh_occurrences(host: Permutation, mp: MeshPattern) -> list[tuple[int, ...]
     >>> mesh_occurrences(Permutation([2, 4, 1, 3]), MeshPattern(Permutation([1, 2]), {(1, 0)}))
     [(1, 2), (3, 4)]
     """
-    n = len(host)
-    host_vals = host.values
-    shaded = sorted(mp.shaded)
-    out: list[tuple[int, ...]] = []
-    for occ in occurrences(host, mp.pattern):
-        p = (0,) + occ + (n + 1,)
-        q = (0,) + tuple(sorted(host_vals[x - 1] for x in occ)) + (n + 1,)
-        ok = True
-        for i, j in shaded:
-            x_lo, x_hi = p[i], p[i + 1]
-            y_lo, y_hi = q[j], q[j + 1]
-            if any(y_lo < host_vals[x] < y_hi for x in range(x_lo, x_hi - 1)):
-                ok = False
-                break
-        if ok:
-            out.append(occ)
-    return out
+    h = host.values
+    B = [0]
+    for v in h:
+        B.append(B[-1] | 1 << v)
+    keep = _mesh_filter(mp.pattern.values, mp.shaded)(h, B, len(h) + 1)
+    return list(filter(keep, occurrences(host, mp.pattern)))
 
 
 def compile_vincular(vp: VincularPattern) -> MeshPattern:

@@ -118,6 +118,39 @@ def vincular_occurrences_direct(host, pattern: Permutation, adjacent: set[int]):
     ]
 
 
+def bivincular_occurrences_direct(host, pattern: Permutation, adjacent_positions,
+                                  adjacent_values):
+    """Classical occurrences whose indices are adjacent at each position
+    pair i, i+1 in adjacent_positions, and whose host values matched to
+    pattern values v, v+1 are consecutive integers for each v in
+    adjacent_values; independent of the mesh machinery."""
+    slot = {v: s for s, v in enumerate(pattern.values)}
+    vals = host.values
+    return [
+        occ
+        for occ in vincular_occurrences_direct(host, pattern, set(adjacent_positions))
+        if all(vals[occ[slot[v + 1]] - 1] == vals[occ[slot[v]] - 1] + 1
+               for v in adjacent_values)
+    ]
+
+
+def brute_mesh_occurrences(host, pattern: Permutation, shaded):
+    """Classical occurrences such that no host point lies in the open
+    region of any shaded cell (i, j): strictly between the i-th and
+    (i+1)-th matched positions and between the j-th and (j+1)-th smallest
+    matched values, with 0 and n+1 closing both axes."""
+    vals = host.values
+    n = len(vals)
+    out = []
+    for occ in brute_occurrences(host, pattern):
+        p = (0, *occ, n + 1)
+        q = (0, *sorted(vals[x - 1] for x in occ), n + 1)
+        if not any(p[i] < x < p[i + 1] and q[j] < vals[x - 1] < q[j + 1]
+                   for i, j in shaded for x in range(1, n + 1)):
+            out.append(occ)
+    return out
+
+
 def brute_is_simple(sigma: Permutation) -> bool:
     """By definition: no index range of length 2..n-1 holds a contiguous
     set of values."""

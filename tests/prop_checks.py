@@ -13,6 +13,7 @@ from itertools import combinations
 
 from permpat import (
     Basis,
+    BivincularPattern,
     MeshPattern,
     Permutation,
     Symmetry,
@@ -33,10 +34,12 @@ from permpat import (
     substitution_decompose,
     sum_decompose,
     validate_basis,
+    vincular_occurrences,
 )
 
 from oracles import (
     all_perms,
+    bivincular_occurrences_direct,
     brute_class_counts,
     brute_class_members,
     brute_contains,
@@ -199,6 +202,23 @@ def check_vincular_compile(max_host: int = 6, max_pat: int = 3) -> None:
                             assert mesh_occurrences(host, mp) == (
                                 vincular_occurrences_direct(host, pat, set(adj))
                             )
+
+
+def check_bivincular_compile(max_host: int = 6, max_pat: int = 3) -> None:
+    """`vincular_occurrences` of every bivincular pattern matches the direct
+    position- and value-adjacency oracle, for every pair of adjacency
+    subsets."""
+    hosts = [host for n in range(max_host + 1) for host in all_perms(n)]
+    for k in range(max_pat + 1):
+        subsets = [set(s) for r in range(k + 1) for s in combinations(range(1, k), r)]
+        for pat in all_perms(k):
+            for pos in subsets:
+                for vals in subsets:
+                    bp = BivincularPattern(pat, frozenset(pos), frozenset(vals))
+                    for host in hosts:
+                        assert vincular_occurrences(host, bp) == (
+                            bivincular_occurrences_direct(host, pat, pos, vals)
+                        ), (host, bp)
 
 
 def check_consecutive_contiguous(max_host: int = 6, pat_len: int = 3) -> None:

@@ -184,6 +184,7 @@ def test_criterion_11_property_suites():
         prop_checks.check_mesh_classical_consistency(max_host=6, max_pat=3)
         prop_checks.check_shading_monotonicity()
         prop_checks.check_vincular_compile(max_host=6, max_pat=3)
+        prop_checks.check_bivincular_compile(max_host=6, max_pat=3)
         prop_checks.check_consecutive_contiguous(max_host=6)
         prop_checks.check_enumerator_oracle(n_max=7, small_n_max=6)
         prop_checks.check_downset_property(n_max=7)

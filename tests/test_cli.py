@@ -120,6 +120,16 @@ class TestMatch:
         doc = run_json(capsys, "match", pat, "3241")
         assert doc["results"][0]["occurrences"] == [[1, 2, 3, 4]]
 
+    @pytest.mark.parametrize("pat, counts", [
+        ('{"perm": [], "shaded": [[0,0]]}', (1, 0, 0)),
+        ('{"perm": [], "shaded": []}', (1, 1, 1)),
+        ('{"perm": [1], "shaded": [[0,0],[0,1],[1,0],[1,1]]}', (0, 1, 0)),
+    ])
+    def test_zero_slots_and_full_shading(self, capsys, pat, counts):
+        # Hosts: the empty permutation, 1 and 2 1 3.
+        outs = [run(capsys, "match", pat, host)[1] for host in ("", "1", "213")]
+        assert outs == [f"{text}: count {c}\n" for text, c in zip(("", "1", "2 1 3"), counts)]
+
     def test_hosts_from_file(self, capsys, tmp_path):
         path = tmp_path / "hosts.txt"
         path.write_text("123\n321\n")

@@ -394,8 +394,12 @@ def test_guards_beyond_the_loop_limit():
 
 
 def test_import_compiles_no_kernel():
+    # Importing the CLI compiles no containment kernel and no mesh filter,
+    # and loads no thread pool: all of it is paid by the first op using it.
     src = os.path.dirname(os.path.dirname(perm.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import permpat.cli, permpat.perm as p; print(p._kernel.cache_info().currsize)"
+    code = ("import sys, permpat.cli, permpat.perm as p, permpat.patterns as m; "
+            "print(p._kernel.cache_info().currsize, m._mesh_filter.cache_info().currsize, "
+            "'concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "0\n"
+    assert out.stdout == "0 0 False\n"

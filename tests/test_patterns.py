@@ -18,10 +18,17 @@ from permpat import (
     occurrences,
     parse,
     parse_pattern,
+    perm,
     vincular_count,
 )
 
-from oracles import all_perms, brute_barred_contains, brute_occurrences, vincular_occurrences_direct
+from oracles import (
+    all_perms,
+    brute_barred_contains,
+    brute_mesh_occurrences,
+    brute_occurrences,
+    vincular_occurrences_direct,
+)
 
 import prop_checks
 
@@ -68,6 +75,36 @@ class TestMeshPattern:
             if not bad:
                 expected.append(occ)
         assert meshed == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_definition_on_random_shadings(self, data):
+        k = data.draw(st.integers(0, 5), label="k")
+        pattern = Permutation(data.draw(st.permutations(range(1, k + 1)), label="pattern"))
+        cells = [(i, j) for i in range(k + 1) for j in range(k + 1)]
+        shaded = data.draw(st.one_of(st.just(set()), st.just(set(cells)),
+                                     st.sets(st.sampled_from(cells))), label="shaded")
+        n = data.draw(st.integers(0, 8), label="n")
+        host = Permutation(data.draw(st.permutations(range(1, n + 1)), label="host"))
+        expected = brute_mesh_occurrences(host, pattern, shaded)
+        assert mesh_occurrences(host, MeshPattern(pattern, frozenset(shaded))) == expected
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_pattern_longer_than_the_loop_limit(self, data):
+        # The pattern plus four inserted entries of distinct values: a host
+        # that contains it, with few enough index subsets for the oracle.
+        k = data.draw(st.integers(perm._MAX_LOOPS + 1, perm._MAX_LOOPS + 4), label="k")
+        pattern = Permutation(data.draw(st.permutations(range(1, k + 1)), label="pattern"))
+        word = [v + 0.5 for v in pattern.values]
+        extras = data.draw(st.lists(st.integers(0, k), min_size=4, max_size=4), label="extra")
+        for t, below in enumerate(extras):
+            word.insert(data.draw(st.integers(0, len(word)), label="at"), below + (t + 1) / 10)
+        host = Permutation([sorted(word).index(v) + 1 for v in word])
+        cells = st.tuples(st.integers(0, k), st.integers(0, k))
+        shaded = data.draw(st.sets(cells, min_size=1, max_size=4), label="shaded")
+        expected = brute_mesh_occurrences(host, pattern, shaded)
+        assert mesh_occurrences(host, MeshPattern(pattern, frozenset(shaded))) == expected
 
 
 class TestVincular:
@@ -275,6 +312,9 @@ class TestSmallProperties:
 
     def test_vincular_compile_small(self):
         prop_checks.check_vincular_compile(max_host=5, max_pat=3)
+
+    def test_bivincular_compile_small(self):
+        prop_checks.check_bivincular_compile(max_host=5, max_pat=3)
 
     def test_consecutive_contiguous_small(self):
         prop_checks.check_consecutive_contiguous(max_host=5)
